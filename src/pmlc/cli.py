@@ -26,6 +26,7 @@ from .graphs import (
     Graph,
     GraphFormatError,
     PointedGraph,
+    class_instance,
     gen_marked,
     gen_pointed,
     gen_regular_strongly_marked,
@@ -150,26 +151,6 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _class_instance(
-    tag: str, seed: int, rng: random.Random, phi, max_nodes: int
-) -> PointedGraph:
-    n = rng.randint(1, max_nodes)
-    p = rng.choice([0.2, 0.5, 0.8])
-    if tag == "any":
-        return gen_pointed(seed, n, max_prop(phi) + 1, p)
-    colours = max_prop(phi) + 2
-    if tag == "marked":
-        return gen_marked(seed, n, colours, p)
-    if tag == "strong":
-        return gen_strongly_marked(seed, n, colours, p)
-    if tag == "regular-strong":
-        d = rng.randint(1, n)
-        return gen_regular_strongly_marked(seed, n, colours, d, d)
-    return gen_tree_like(
-        seed, phi, rng.randint(1, 2), colours, tag == "regular-tree-like"
-    )
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     phi = _read_formula(args.formula)
     if args.mpnn is not None:
@@ -189,7 +170,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     agree = malformed = 0
     for i in range(args.seeds):
         child = args.seed * 1_000_003 + i
-        pg = _class_instance(net.required_class, child, rng, phi, args.max_nodes)
+        pg = class_instance(net.required_class, child, rng, phi, args.max_nodes)
         want = models(pg, phi)
         verdict = judge(net, pg)
         if verdict.kind == "malformed":

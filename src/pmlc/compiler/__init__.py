@@ -1,8 +1,10 @@
 """Formula-to-network compilation facade.
 
 Each compilation target pairs a formula fragment with the graph class it
-is guaranteed on and the aggregators the network may use.  ``compile``
-dispatches to the matching builder, checks the layer budget, and wraps
+is guaranteed on and the aggregators the network may use.  One table,
+``TARGET_KINDS``, holds each target kind's builder, extra-aggregator rule
+and layer budget.  ``compile`` runs the kind's builder, checks the layer
+budget (a raise, so the check also runs under ``python -O``), and wraps
 the result in a report (layer count, certainty exponent, class tag,
 fragment tags, dimension map) suitable for printing next to the network.
 
@@ -27,7 +29,7 @@ nested-mixed-sum/-max     edge-only, depth-critical tree-like
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from ..logic import (
     FragmentTags,
@@ -57,6 +59,8 @@ __all__ = [
     "CompilationReport",
     "CompilationTarget",
     "FragmentMismatch",
+    "TARGET_KINDS",
+    "TargetKind",
     "TraceLimitExceeded",
     "build_global_deep",
     "build_global_homogeneous",
@@ -73,29 +77,49 @@ __all__ = [
 
 _EXTRA_NAME = {Aggregator.SUM: "sum", Aggregator.MAX: "max"}
 
-_PLAIN_KINDS = (
-    "global-homogeneous",
-    "global-shallow",
-    "global-deep",
-    "local-mean-regular",
-    "shallow-mixed-regular",
-    "nested-mean-regular",
-)
-_MIXED_KINDS = ("local-mixed", "shallow-mixed", "nested-mixed")
 
-# Layer budget per target kind: global/local/shallow bounds are a*deg+b,
-# nested bounds a*md*max(deg, 1)+b (the floor covers constraint-free
-# formulas, whose pipelines still need their setup and check layers).
-_BUDGETS = {
-    "global-homogeneous": ("exact", 1, 1),
-    "global-shallow": ("ceiling", 2, 2),
-    "global-deep": ("ceiling", 2, 2),
-    "local-mean-regular": ("ceiling", 2, 2),
-    "local-mixed": ("ceiling", 4, 2),
-    "shallow-mixed-regular": ("ceiling", 8, 2),
-    "shallow-mixed": ("ceiling", 8, 2),
-    "nested-mean-regular": ("ceiling", 5, 2),
-    "nested-mixed": ("ceiling", 5, 2),
+@dataclass(frozen=True)
+class TargetKind:
+    """One row of the target table.
+
+    ``build(phi, extra, trace_cap)`` compiles; ``mixed`` kinds take an
+    extra aggregator (sum or max), the others are mean-only.  The layer
+    budget is ``(budget_kind, a, b)``: ``a*deg + b`` layers, or for the
+    nested kinds ``a*md*max(deg, 1) + b`` (the floor covers
+    constraint-free formulas, whose pipelines still need their setup and
+    check layers); ``exact`` kinds must meet it, ``ceiling`` kinds stay
+    within it.
+    """
+
+    build: Callable[[PmlFormula, Optional[Aggregator], int], Mpnn]
+    mixed: bool
+    budget: Tuple[str, int, int]
+
+
+TARGET_KINDS: Dict[str, TargetKind] = {
+    "global-homogeneous": TargetKind(
+        lambda phi, extra, cap: build_global_homogeneous(phi), False, ("exact", 1, 1)
+    ),
+    "global-shallow": TargetKind(
+        lambda phi, extra, cap: build_global_shallow(phi), False, ("ceiling", 2, 2)
+    ),
+    "global-deep": TargetKind(
+        lambda phi, extra, cap: build_global_deep(phi), False, ("ceiling", 2, 2)
+    ),
+    "local-mean-regular": TargetKind(
+        lambda phi, extra, cap: build_local_mean(phi), False, ("ceiling", 2, 2)
+    ),
+    "local-mixed": TargetKind(
+        lambda phi, extra, cap: build_local_mixed(phi, extra), True, ("ceiling", 4, 2)
+    ),
+    "shallow-mixed-regular": TargetKind(
+        lambda phi, extra, cap: build_shallow_mixed(phi, extra), False, ("ceiling", 8, 2)
+    ),
+    "shallow-mixed": TargetKind(
+        lambda phi, extra, cap: build_shallow_mixed(phi, extra), True, ("ceiling", 8, 2)
+    ),
+    "nested-mean-regular": TargetKind(build_nested, False, ("ceiling", 5, 2)),
+    "nested-mixed": TargetKind(build_nested, True, ("ceiling", 5, 2)),
 }
 
 
@@ -107,16 +131,15 @@ class CompilationTarget:
     extra: Optional[Aggregator] = None
 
     def __post_init__(self) -> None:
-        if self.kind in _PLAIN_KINDS:
-            if self.extra is not None:
-                raise ValueError(f"target {self.kind!r} is mean-only")
-        elif self.kind in _MIXED_KINDS:
-            if self.extra not in (Aggregator.SUM, Aggregator.MAX):
-                raise ValueError(
-                    f"target {self.kind!r} needs an extra aggregator, sum or max"
-                )
-        else:
+        row = TARGET_KINDS.get(self.kind)
+        if row is None:
             raise ValueError(f"unknown target kind {self.kind!r}")
+        if not row.mixed and self.extra is not None:
+            raise ValueError(f"target {self.kind!r} is mean-only")
+        if row.mixed and self.extra not in _EXTRA_NAME:
+            raise ValueError(
+                f"target {self.kind!r} needs an extra aggregator, sum or max"
+            )
 
     @property
     def name(self) -> str:
@@ -126,19 +149,10 @@ class CompilationTarget:
         return f"{self.kind}-{_EXTRA_NAME[self.extra]}"
 
 
-ALL_TARGETS: Tuple[CompilationTarget, ...] = (
-    CompilationTarget("global-homogeneous"),
-    CompilationTarget("global-shallow"),
-    CompilationTarget("global-deep"),
-    CompilationTarget("local-mean-regular"),
-    CompilationTarget("local-mixed", Aggregator.SUM),
-    CompilationTarget("local-mixed", Aggregator.MAX),
-    CompilationTarget("shallow-mixed-regular"),
-    CompilationTarget("shallow-mixed", Aggregator.SUM),
-    CompilationTarget("shallow-mixed", Aggregator.MAX),
-    CompilationTarget("nested-mean-regular"),
-    CompilationTarget("nested-mixed", Aggregator.SUM),
-    CompilationTarget("nested-mixed", Aggregator.MAX),
+ALL_TARGETS: Tuple[CompilationTarget, ...] = tuple(
+    CompilationTarget(kind, extra)
+    for kind, row in TARGET_KINDS.items()
+    for extra in ((Aggregator.SUM, Aggregator.MAX) if row.mixed else (None,))
 )
 
 
@@ -183,36 +197,14 @@ def compile(
     if isinstance(target, str):
         target = parse_target(target)
     kind = target.kind
-    if kind == "global-homogeneous":
-        net = build_global_homogeneous(phi)
-    elif kind == "global-shallow":
-        net = build_global_shallow(phi)
-    elif kind == "global-deep":
-        net = build_global_deep(phi)
-    elif kind == "local-mean-regular":
-        net = build_local_mean(phi)
-    elif kind == "local-mixed":
-        net = build_local_mixed(phi, target.extra)
-    elif kind == "shallow-mixed-regular":
-        net = build_shallow_mixed(phi)
-    elif kind == "shallow-mixed":
-        net = build_shallow_mixed(phi, target.extra)
-    elif kind == "nested-mean-regular":
-        net = build_nested(phi, None, trace_cap)
-    else:
-        net = build_nested(phi, target.extra, trace_cap)
+    budget_kind, a, b = TARGET_KINDS[kind].budget
+    net = TARGET_KINDS[kind].build(phi, target.extra, trace_cap)
 
     md, deg = modal_depth(phi), degree(phi)
-    budget_kind, a, b = _BUDGETS[kind]
-    if kind.startswith("nested"):
-        bound = a * md * max(deg, 1) + b
-    else:
-        bound = a * deg + b
+    bound = a * md * max(deg, 1) + b if kind.startswith("nested") else a * deg + b
     layers = len(net.layers)
-    if budget_kind == "exact":
-        assert layers == bound, f"{target.name}: {layers} layers, budget {bound}"
-    else:
-        assert layers <= bound, f"{target.name}: {layers} layers, budget {bound}"
+    if layers > bound or (budget_kind == "exact" and layers != bound):
+        raise RuntimeError(f"{target.name}: {layers} layers, {budget_kind} budget {bound}")
 
     notes: List[str] = []
     if kind == "global-deep":
@@ -224,7 +216,6 @@ def compile(
     if kind.startswith("nested"):
         notes.append(f"trace index size {len(trace_index(phi))}")
 
-    assert net.dimension_names is not None
     report = CompilationReport(
         target=target.name,
         layer_count=layers,

@@ -8,17 +8,22 @@ layer can be read back (directly or through an aggregation port) in the
 next.  All intermediate values are nonnegative by construction, which is
 what keeps the ReLU identity-carries and the masking gadgets sound.
 
-Scale conventions used throughout the builders:
+``LayerPlan`` is a :class:`~pmlc.net.Circuit`, so every builder uses the
+one gadget set defined there.  Scale conventions used throughout:
 
 * flags are 0/1; ``mask01(y, flag)`` multiplies a value ``y`` in [0, 1] by
-  a 0/1 flag;
+  a 0/1 flag; ``write_flags`` computes the first layer's flags for every
+  modal-free subformula from the label bits;
 * truth values at a scale ``s`` (held in a reference dimension, never in a
   bias, because ``s`` depends on the graph size) live in {0, s}; the
   Boolean gadgets ``not_at``/``and_at`` and the flag lift ``flag_at``
   operate at such a scale;
 * ``atom_check`` turns accumulated monomial values (all scaled by a common
   unit ``u``) into a truth value at scale ``r2``; integrality of the
-  underlying counts guarantees a violated atom overshoots ``r2``.
+  underlying counts guarantees a violated atom overshoots ``r2``;
+* before the check every monomial pipeline and the unit must share one
+  denominator: a ``Ledger`` counts the mean divisions a pipeline still
+  owes, and ``LayerPlan.hop`` pays one of them or carries the value.
 """
 
 from __future__ import annotations
@@ -33,11 +38,13 @@ from ..logic import (
     PeanoAtom,
     PeanoNot,
     PmlFormula,
+    Prop,
     modal_depth,
+    print_formula,
     subformulas_ordered,
 )
 from ..mpnn import Aggregator, CertaintyDescriptor, Mpnn, MpnnLayer
-from ..net import Circuit, Ref, boolean_refs
+from ..net import Circuit, Ref
 
 
 class FragmentMismatch(ValueError):
@@ -52,14 +59,16 @@ class TraceLimitExceeded(FragmentMismatch):
 # ---------------------------------------------------------------------------
 # Layer assembly
 
+_AGG_BLOCKS = {"in": 1, "out": 2, "glob": 3}
 
-class LayerPlan:
+
+class LayerPlan(Circuit):
     """One message-passing layer under construction.
 
-    Wraps a :class:`Circuit` whose inputs are the 4*D combination ports of
-    the previous layer's D named dimensions.  Outputs are declared in
-    order; the dimension written last is the network's verdict dimension
-    when this is the final layer.
+    A :class:`Circuit` whose inputs are the 4*D combination ports of the
+    previous layer's D named dimensions.  Outputs are declared in order;
+    the dimension written last is the network's verdict dimension when
+    this is the final layer.
     """
 
     def __init__(
@@ -70,12 +79,10 @@ class LayerPlan:
         loc_out: Aggregator,
         glob: Aggregator,
     ):
+        self.D = len(in_names)
+        super().__init__({f"q{i}": i for i in range(4 * self.D)}, width=4 * self.D)
         self._b = builder
         self._index = {nm: i for i, nm in enumerate(in_names)}
-        self.D = len(in_names)
-        self.c = Circuit(
-            {f"q{i}": i for i in range(4 * self.D)}, width=4 * self.D
-        )
         self.loc_in = loc_in
         self.loc_out = loc_out
         self.glob_agg = glob
@@ -88,7 +95,7 @@ class LayerPlan:
             i = self._index[name]
         except KeyError:
             raise KeyError(f"dimension {name!r} does not exist at this layer")
-        return self.c.input(f"q{block * self.D + i}")
+        return self.input(f"q{block * self.D + i}")
 
     def prev(self, name: str) -> Ref:
         return self._port(0, name)
@@ -99,15 +106,14 @@ class LayerPlan:
     def agg_out(self, name: str) -> Ref:
         return self._port(2, name)
 
-    def agg(self, direction: str, name: str) -> Ref:
-        if direction == "in":
-            return self.agg_in(name)
-        if direction == "out":
-            return self.agg_out(name)
-        raise ValueError(f"unknown direction {direction!r}")
-
     def glob(self, name: str) -> Ref:
         return self._port(3, name)
+
+    def agg(self, port: str, name: str) -> Ref:
+        """``name``'s aggregate on port ``in``, ``out`` or ``glob``."""
+        if port not in _AGG_BLOCKS:
+            raise ValueError(f"unknown port {port!r}")
+        return self._port(_AGG_BLOCKS[port], name)
 
     # -- outputs ------------------------------------------------------
 
@@ -115,44 +121,25 @@ class LayerPlan:
         if name in self._declared:
             raise ValueError(f"dimension {name!r} written twice in one layer")
         self._declared.add(name)
-        self.c.output(name, ref)
+        self.output(name, ref)
 
     def carry(self, *names: str) -> None:
         """Re-emit previous-layer values unchanged (they are nonnegative)."""
         for nm in names:
             self.set(nm, self.relu([(1, self.prev(nm))]))
 
+    def hop(self, name: str, port: Optional[str], gate: Callable[[Ref], Ref]) -> None:
+        """Write ``gate`` of ``name``'s aggregate on ``port`` (one mean
+        division), or carry ``name`` when ``port`` is None."""
+        if port is None:
+            self.carry(name)
+        else:
+            self.set(name, gate(self.agg(port, name)))
+
     def done(self) -> None:
-        self._b._commit(self, self.c.build(), self.c.output_names())
+        self._b._commit(self, self.build(), self.output_names())
 
-    # -- gadgets ------------------------------------------------------
-
-    def relu(self, terms, bias=0) -> Ref:
-        return self.c.relu(terms, bias)
-
-    def min_(self, x: Ref, y: Ref) -> Ref:
-        return self.c.min_(x, y)
-
-    def mask01(self, y: Ref, flag: Ref) -> Ref:
-        """y * flag for y in [0, 1] and flag in {0, 1}."""
-        return self.relu([(1, y), (1, flag)], -1)
-
-    def mask_at(self, y: Ref, scale: Ref, value: Ref) -> Ref:
-        """y * [value > 0] for y <= scale and value in {0, scale}."""
-        return self.relu([(1, y), (-1, scale), (1, value)])
-
-    def flag_at(self, scale: Ref, flag: Ref) -> Ref:
-        """Lift a 0/1 flag to {0, scale} for a scale in (0, 1]."""
-        return self.relu([(1, scale), (1, flag)], -1)
-
-    def not_at(self, scale: Ref, x: Ref) -> Ref:
-        return self.relu([(1, scale), (-1, x)])
-
-    def and_at(self, scale: Ref, x: Ref, y: Ref) -> Ref:
-        return self.relu([(1, x), (1, y), (-1, scale)])
-
-    def sum_of(self, refs: Sequence[Ref]) -> Ref:
-        return self.relu([(1, r) for r in refs])
+    # -- constraint gadgets -------------------------------------------
 
     def atom_check(
         self,
@@ -291,12 +278,52 @@ def flat_names(flats: Sequence[PmlFormula]) -> Dict[PmlFormula, str]:
 def write_flags(
     plan: LayerPlan, flats: Sequence[PmlFormula], names: Dict[PmlFormula, str]
 ) -> Dict[PmlFormula, Ref]:
-    """First-layer truth flags for every modal-free subformula."""
-    bits = [plan.prev(f"c{i}") for i in range(plan.D)]
-    memo = boolean_refs(plan.c, list(flats), bits)
+    """First-layer 0/1 truth flags, read from the label bits ``c<i>``.
+
+    Writes one dimension per formula of ``flats`` (named by ``names``) and
+    returns the truth ref of every subformula it evaluated.
+    """
+    memo: Dict[PmlFormula, Ref] = {}
+
+    def truth(f: PmlFormula) -> Ref:
+        if f not in memo:
+            if isinstance(f, Prop):
+                memo[f] = plan.relu([(1, plan.prev(f"c{f.index}"))])
+            elif isinstance(f, Not):
+                memo[f] = plan.relu([(-1, truth(f.operand))], 1)
+            elif isinstance(f, And):
+                memo[f] = plan.relu([(1, truth(f.left)), (1, truth(f.right))], -1)
+            else:
+                raise ValueError("the Boolean layer only evaluates modal-free formulas")
+        return memo[f]
+
     for s in flats:
-        plan.set(names[s], memo[s])
+        plan.set(names[s], truth(s))
     return memo
+
+
+class Ledger:
+    """Mean divisions one pipeline still owes before the check layer.
+
+    Each aligned layer pays at most one division, taken from the first
+    port, in the fixed order glob, in, out, that still has some owed.
+    """
+
+    def __init__(self, glob: int = 0, ins: int = 0, outs: int = 0):
+        self.owed = {"glob": glob, "in": ins, "out": outs}
+
+    def pay(self) -> Optional[str]:
+        """The port of the next owed division (now paid), or None."""
+        for port, left in self.owed.items():
+            if left > 0:
+                self.owed[port] = left - 1
+                return port
+        return None
+
+    def close(self) -> None:
+        """Raise unless every owed division has been paid exactly."""
+        if any(self.owed.values()):
+            raise RuntimeError(f"alignment ledger not settled: {self.owed}")
 
 
 def monomial_streams(modals: Sequence[Modal]):
@@ -326,17 +353,10 @@ def _atoms(psi) -> List[PeanoAtom]:
     return _atoms(psi.left) + _atoms(psi.right)
 
 
-def atoms_of(psi) -> List[PeanoAtom]:
-    """Atoms of a constraint in evaluation (left-to-right) order."""
-    return _atoms(psi)
-
-
 def degenerate_boolean(
     phi: PmlFormula, colours: int, required_class: str, mark_colour: Optional[int]
 ) -> Mpnn:
     """Single Boolean layer for modal-free formulas: e = 0, not inverted."""
-    from ..logic import print_formula
-
     nb = NetBuilder(colours)
     _subs, flats, _modals = split_subformulas(phi)
     names = flat_names(flats)

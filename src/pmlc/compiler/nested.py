@@ -35,7 +35,8 @@ node's own degrees.  e = M-1+2KM; the verdict reads n^-e at the focus.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..logic import (
     And,
@@ -53,6 +54,7 @@ from ..mpnn import Aggregator, Mpnn
 from .build import (
     FragmentMismatch,
     LayerPlan,
+    Ledger,
     NetBuilder,
     TraceLimitExceeded,
     degenerate_boolean,
@@ -204,7 +206,8 @@ def build_nested(
 
     exponent = e_of(M)
     needed_u = (set(range(1, M)) | {e_of(l) for l in range(1, M + 1)}) - {0}
-    assert max(needed_u, default=0) < total_layers
+    if max(needed_u, default=0) >= total_layers:
+        raise RuntimeError("uniform scales outlive the network's layers")
 
     nb = NetBuilder(colours)
     mark_bit = f"c{mark}"
@@ -237,6 +240,11 @@ def build_nested(
             else:
                 terms.append((-1, plan.prev(f"y{ti}")))
         return plan.relu(terms, bias=bias)
+
+    def pull(plan: LayerPlan, dim: Callable[[int], str], port: Optional[str]) -> None:
+        """One owed division on ``port`` (or a carry) for every class copy."""
+        for ii in subsets:
+            plan.hop(dim(ii), port, partial(sep, plan, ii))
 
     def open_layer(push: bool = False) -> LayerPlan:
         nonlocal li
@@ -326,47 +334,19 @@ def build_nested(
 
         def vdim(ii: int) -> str:
             return f"V{level}.{ii}"
+
+        # Alignment ledgers: a mean-only stream owes one in-division per
+        # missing factor; with an extra aggregator only focus-side pulls
+        # divide, so a stream owes K per direction less its own factors.
         if extra is None:
-            zone_need = {s.base: K - s.deg for s in ss}
+            need = {s.base: Ledger(ins=K - s.deg) for s in ss}
+            unit = Ledger(ins=K)
         else:
             need = {
-                s.base: {
-                    "in": K - sum(1 for d in s.dirs if d == "in"),
-                    "out": K - sum(1 for d in s.dirs if d == "out"),
-                }
+                s.base: Ledger(ins=K - s.dirs.count("in"), outs=K - s.dirs.count("out"))
                 for s in ss
             }
-            u_need = {"in": K, "out": K}
-
-        def stream_self_pull(plan: LayerPlan, s: _StageStream) -> None:
-            """One owed alignment division, ins before outs, else carry."""
-            counters = need[s.base]
-            if counters["in"] > 0:
-                counters["in"] -= 1
-                port = "in"
-            elif counters["out"] > 0:
-                counters["out"] -= 1
-                port = "out"
-            else:
-                for ii in subsets:
-                    plan.carry(s.acc(ii))
-                return
-            for ii in subsets:
-                plan.set(s.acc(ii), sep(plan, ii, plan.agg(port, s.acc(ii))))
-
-        def unit_self_pull(plan: LayerPlan) -> None:
-            if u_need["in"] > 0:
-                u_need["in"] -= 1
-                port = "in"
-            elif u_need["out"] > 0:
-                u_need["out"] -= 1
-                port = "out"
-            else:
-                for ii in subsets:
-                    plan.carry(udim(ii))
-                return
-            for ii in subsets:
-                plan.set(udim(ii), sep(plan, ii, plan.agg(port, udim(ii))))
+            unit = Ledger(ins=K, outs=K)
 
         def carry_cb(plan: LayerPlan) -> None:
             for c in range(len(cbs)):
@@ -427,12 +407,12 @@ def build_nested(
                     for ii in subsets:
                         plan.set(s.acc(ii), sep(plan, ii, plan.agg_out(s.rcv(ii))))
                 else:
-                    stream_self_pull(plan, s)
+                    pull(plan, s.acc, need[s.base].pay())
             if extra is None:
                 for ii in subsets:
                     plan.set(udim(ii), sep(plan, ii, plan.agg_out(vdim(ii))))
             else:
-                unit_self_pull(plan)
+                pull(plan, udim, unit.pay())
             plan.done()
 
         # Alignment zone: self-loop hops level every pipeline and the unit
@@ -441,30 +421,11 @@ def build_nested(
             plan = open_layer()
             maintain(plan)
             for s in ss:
-                if extra is None:
-                    if zone_need[s.base] > 0:
-                        zone_need[s.base] -= 1
-                        for ii in subsets:
-                            plan.set(
-                                s.acc(ii), sep(plan, ii, plan.agg_in(s.acc(ii)))
-                            )
-                    else:
-                        for ii in subsets:
-                            plan.carry(s.acc(ii))
-                else:
-                    stream_self_pull(plan, s)
-            if extra is None:
-                for ii in subsets:
-                    plan.set(udim(ii), sep(plan, ii, plan.agg_in(udim(ii))))
-            else:
-                unit_self_pull(plan)
+                pull(plan, s.acc, need[s.base].pay())
+            pull(plan, udim, unit.pay())
             plan.done()
-
-        if extra is None:
-            assert all(v == 0 for v in zone_need.values())
-        else:
-            assert u_need == {"in": 0, "out": 0}
-            assert all(c["in"] == 0 and c["out"] == 0 for c in need.values())
+        for ledger in (unit, *need.values()):
+            ledger.close()
 
         # Check layer: evaluate this stage's constraints at the check scale.
         r2name = uname(e_of(level))
@@ -525,7 +486,10 @@ def build_nested(
             )
             plan.done()
 
-    assert li == total_layers == len(nb.layers)
+    if not li == total_layers == len(nb.layers):
+        raise RuntimeError(
+            f"nested network has {len(nb.layers)} layers, planned {total_layers}"
+        )
     return nb.finish(
         exponent=exponent,
         inverted=False,

@@ -30,6 +30,7 @@ baked into a bias.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from ..logic import (
@@ -47,8 +48,8 @@ from ..mpnn import Aggregator, Mpnn
 from .build import (
     FragmentMismatch,
     LayerPlan,
+    Ledger,
     NetBuilder,
-    atoms_of,
     degenerate_boolean,
     flat_names,
     monomial_streams,
@@ -325,6 +326,30 @@ def _final_check_layer(
     )
 
 
+def _alignment_zone(
+    nb: NetBuilder,
+    layers: int,
+    flag_dims: List[str],
+    need: Dict[str, Ledger],
+    unit: Ledger,
+    r2: Ledger,
+) -> None:
+    """Mean layers that pay every stream's, the unit's and the check
+    scale's owed divisions through focus self-loop and global hops, masked
+    to the focus; every ledger must come out settled."""
+    for _zone in range(layers):
+        plan = nb.layer()
+        plan.carry(*flag_dims, "mk")
+        focus = partial(plan.mask01, flag=plan.prev("mk"))
+        for dim, ledger in need.items():
+            plan.hop(dim, ledger.pay(), focus)
+        plan.hop("U", unit.pay(), focus)
+        plan.hop("R2", r2.pay(), focus)
+        plan.done()
+    for ledger in (unit, r2, *need.values()):
+        ledger.close()
+
+
 def _degenerate_local(phi: PmlFormula, klass: str) -> Mpnn:
     """Depth-1 formula of degree 0: constraints are count-free, so a
     two-layer net (flags, then checks against the mark as the unit) works
@@ -483,43 +508,22 @@ def build_local_mixed(phi: PmlFormula, extra: Aggregator) -> Mpnn:
     stream_dim = {(s.j, s.variables): s.dim for s in streams}
     flag_dims = [names[s] for s in flats]
 
-    # Alignment ledger: divisions still owed per direction, per stream
-    # (each pull into the focus divides by one focus degree, so a stream
-    # of degree m owes 2K - m more).  The unit and check scales start
-    # with one division on the first hop.
+    # Alignment ledgers: each pull into the focus divides by one focus
+    # degree, so a stream owes K divisions per direction less its own
+    # factors in that direction.  The unit and check scales start with one
+    # division on the first hop.
     need = {
-        s.dim: {
-            "in": K - sum(1 for d in s.dirs if d == "in"),
-            "out": K - sum(1 for d in s.dirs if d == "out"),
-        }
+        s.dim: Ledger(ins=K - s.dirs.count("in"), outs=K - s.dirs.count("out"))
         for s in streams
     }
-    u_need = {"in": K - 1, "out": K}
-    r2_left = [2 * K - 1]
+    unit = Ledger(ins=K - 1, outs=K)
+    r2 = Ledger(glob=2 * K - 1)
 
     nb = NetBuilder(colours)
     plan = nb.layer()
     write_flags(plan, flats, names)
     plan.set("mk", plan.prev(f"c{mark}"))
     plan.done()
-
-    def unit_step(plan: LayerPlan, mk) -> None:
-        """One unit-stream hop on a mean-capable layer (ins, then outs)."""
-        if u_need["in"] > 0:
-            u_need["in"] -= 1
-            plan.set("U", plan.mask01(plan.agg_in("U"), mk))
-        elif u_need["out"] > 0:
-            u_need["out"] -= 1
-            plan.set("U", plan.mask01(plan.agg_out("U"), mk))
-        else:
-            plan.carry("U")
-
-    def r2_step(plan: LayerPlan, mk) -> None:
-        if r2_left[0] > 0:
-            r2_left[0] -= 1
-            plan.set("R2", plan.mask01(plan.glob("R2"), mk))
-        else:
-            plan.carry("R2")
 
     # First hop (mean layer): direct neighbourhood read per stream.
     plan = nb.layer()
@@ -543,7 +547,7 @@ def build_local_mixed(phi: PmlFormula, extra: Aggregator) -> Mpnn:
                 plan.set(s.recv, plan.mask01(pushed, plan.prev(names[s.children[t - 1]])))
             else:
                 plan.carry(s.dim)
-        r2_step(plan, mk)
+        plan.hop("R2", r2.pay(), partial(plan.mask01, flag=mk))
         plan.done()
 
         # Pull on mean: one focus-degree division per live stream.
@@ -555,30 +559,12 @@ def build_local_mixed(phi: PmlFormula, extra: Aggregator) -> Mpnn:
                 plan.set(s.dim, plan.mask01(plan.agg(s.dirs[t - 1], s.recv), mk))
             else:
                 plan.carry(s.dim)
-        unit_step(plan, mk)
-        r2_step(plan, mk)
+        focus = partial(plan.mask01, flag=mk)
+        plan.hop("U", unit.pay(), focus)
+        plan.hop("R2", r2.pay(), focus)
         plan.done()
 
-    for _zone in range(2 * K - 1):
-        plan = nb.layer()
-        plan.carry(*flag_dims, "mk")
-        mk = plan.prev("mk")
-        for s in streams:
-            counters = need[s.dim]
-            if counters["in"] > 0:
-                counters["in"] -= 1
-                plan.set(s.dim, plan.mask01(plan.agg_in(s.dim), mk))
-            elif counters["out"] > 0:
-                counters["out"] -= 1
-                plan.set(s.dim, plan.mask01(plan.agg_out(s.dim), mk))
-            else:
-                plan.carry(s.dim)
-        unit_step(plan, mk)
-        r2_step(plan, mk)
-        plan.done()
-
-    assert u_need == {"in": 0, "out": 0} and r2_left[0] == 0
-    assert all(c["in"] == 0 and c["out"] == 0 for c in need.values())
+    _alignment_zone(nb, 2 * K - 1, flag_dims, need, unit, r2)
 
     plan = nb.layer()
     _final_check_layer(
@@ -683,15 +669,15 @@ def build_shallow_mixed(phi: PmlFormula, extra: Optional[Aggregator] = None) -> 
         return sum(1 for _, d in s.edges if d == direction)
 
     need = {
-        s.dim: {
-            "glob": K - len(s.tops) - len(s.ids),
-            "in": K - _edge_divs(s, "in"),
-            "out": K - _edge_divs(s, "out"),
-        }
+        s.dim: Ledger(
+            K - len(s.tops) - len(s.ids),
+            K - _edge_divs(s, "in"),
+            K - _edge_divs(s, "out"),
+        )
         for s in streams
     }
-    u_left = {"glob": K, "in": K, "out": K}
-    r2_left = [3 * K]
+    unit = Ledger(K, K, K)
+    r2 = Ledger(glob=3 * K)
 
     nb = NetBuilder(colours)
     plan = nb.layer()
@@ -784,40 +770,7 @@ def build_shallow_mixed(phi: PmlFormula, extra: Optional[Aggregator] = None) -> 
                 plan.carry(s.dim)
         plan.done()
 
-    # Alignment zone: pay down every ledger with self-loop and global
-    # hops (globals first, then ins, then outs).
-    for _zone in range(3 * K):
-        plan = nb.layer()
-        plan.carry(*flag_dims, "mk")
-        mk = plan.prev("mk")
-        for s in streams:
-            counters = need[s.dim]
-            if counters["glob"] > 0:
-                counters["glob"] -= 1
-                plan.set(s.dim, plan.mask01(plan.glob(s.dim), mk))
-            elif counters["in"] > 0:
-                counters["in"] -= 1
-                plan.set(s.dim, plan.mask01(plan.agg_in(s.dim), mk))
-            elif counters["out"] > 0:
-                counters["out"] -= 1
-                plan.set(s.dim, plan.mask01(plan.agg_out(s.dim), mk))
-            else:
-                plan.carry(s.dim)
-        if u_left["glob"] > 0:
-            u_left["glob"] -= 1
-            plan.set("U", plan.mask01(plan.glob("U"), mk))
-        elif u_left["in"] > 0:
-            u_left["in"] -= 1
-            plan.set("U", plan.mask01(plan.agg_in("U"), mk))
-        else:
-            u_left["out"] -= 1
-            plan.set("U", plan.mask01(plan.agg_out("U"), mk))
-        r2_left[0] -= 1
-        plan.set("R2", plan.mask01(plan.glob("R2"), mk))
-        plan.done()
-
-    assert u_left == {"glob": 0, "in": 0, "out": 0} and r2_left[0] == 0
-    assert all(all(v == 0 for v in c.values()) for c in need.values())
+    _alignment_zone(nb, 3 * K, flag_dims, need, unit, r2)
 
     plan = nb.layer()
     _final_check_layer(

@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .logic import Modality, PmlFormula, modal_depth, traces
+from .logic import Modality, PmlFormula, max_prop, modal_depth, traces
 
 
 @dataclass(frozen=True)
@@ -46,6 +46,17 @@ class Graph:
             if not (0 <= s < self.node_count and 0 <= d < self.node_count):
                 raise ValueError(f"edge ({s},{d}) out of range")
 
+    @functools.cached_property
+    def adjacency(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+        """Sorted (in-neighbours, out-neighbours) of every node, built on
+        first use and kept with the graph (outside equality and hashing)."""
+        ins: list[list[int]] = [[] for _ in range(self.node_count)]
+        outs: list[list[int]] = [[] for _ in range(self.node_count)]
+        for s, d in sorted(self.edges):
+            outs[s].append(d)
+            ins[d].append(s)
+        return tuple(tuple(x) for x in ins), tuple(tuple(x) for x in outs)
+
 
 @dataclass(frozen=True)
 class PointedGraph:
@@ -57,22 +68,12 @@ class PointedGraph:
             raise ValueError("focus out of range")
 
 
-@functools.lru_cache(maxsize=None)
-def _adjacency(g: Graph) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-    ins: list[list[int]] = [[] for _ in range(g.node_count)]
-    outs: list[list[int]] = [[] for _ in range(g.node_count)]
-    for s, d in sorted(g.edges):
-        outs[s].append(d)
-        ins[d].append(s)
-    return tuple(tuple(x) for x in ins), tuple(tuple(x) for x in outs)
-
-
 def neigh(g: Graph, v: int, direction: str) -> tuple[int, ...]:
     """Neighbourhood of ``v``: sources of edges into v (``in``), targets of
     edges out of v (``out``), or their union (``both``); sorted."""
     if not 0 <= v < g.node_count:
         raise ValueError("node out of range")
-    ins, outs = _adjacency(g)
+    ins, outs = g.adjacency
     if direction == "in":
         return ins[v]
     if direction == "out":
@@ -84,7 +85,7 @@ def neigh(g: Graph, v: int, direction: str) -> tuple[int, ...]:
 
 def is_regular(g: Graph) -> bool:
     """True iff all in-degrees agree and all out-degrees agree."""
-    ins, outs = _adjacency(g)
+    ins, outs = g.adjacency
     return (
         len({len(x) for x in ins}) <= 1 and len({len(x) for x in outs}) <= 1
     )
@@ -190,7 +191,8 @@ def _witness_walk(
     cur = end
     for j in range(len(t), 0, -1):
         prev = parent[t[:j]][cur]
-        assert prev is not None
+        if prev is None:
+            raise RuntimeError(f"walk for trace {t} breaks off at node {cur}")
         nodes.append(prev)
         cur = prev
     return tuple(reversed(nodes))
@@ -376,9 +378,9 @@ def gen_marked(
         if rng.random() < edge_prob
     )
     g = Graph(node_count, colours, edges, _random_labels(rng, node_count, colours, focus))
-    pg = PointedGraph(g, focus)
-    assert is_marked(g, focus, colours - 1)
-    return pg
+    if not is_marked(g, focus, colours - 1):
+        raise RuntimeError("generated focus is not marked")
+    return PointedGraph(g, focus)
 
 
 def gen_strongly_marked(
@@ -395,7 +397,8 @@ def gen_strongly_marked(
             g.labels,
         )
         pg = PointedGraph(g, pg.focus)
-    assert is_strongly_marked(pg.graph, pg.focus, g.colours - 1)
+    if not is_strongly_marked(pg.graph, pg.focus, g.colours - 1):
+        raise RuntimeError("generated focus is not strongly marked")
     return pg
 
 
@@ -420,9 +423,9 @@ def gen_regular_strongly_marked(
     g = Graph(
         node_count, colours, edges, _random_labels(rng, node_count, colours, focus)
     )
-    pg = PointedGraph(g, focus)
-    assert is_regular(g) and is_strongly_marked(g, focus, colours - 1)
-    return pg
+    if not (is_regular(g) and is_strongly_marked(g, focus, colours - 1)):
+        raise RuntimeError("generated graph is not regular and strongly marked")
+    return PointedGraph(g, focus)
 
 
 def _trace_family(phi: PmlFormula) -> list[tuple[Modality, ...]]:
@@ -533,3 +536,29 @@ def gen_tree_like(
         if ok:
             return pg
     raise AssertionError("no tree-like candidate validated")  # pragma: no cover
+
+
+def class_instance(
+    tag: str, seed: int, rng: random.Random, phi: PmlFormula, max_nodes: int = 8
+) -> PointedGraph:
+    """One member of the graph class named by a class tag, sized for ``phi``.
+
+    ``rng`` draws the node count (1..``max_nodes``), the edge probability
+    and, per class, the degree or the tree branching; ``seed`` drives the
+    class generator itself.
+    """
+    n = rng.randint(1, max_nodes)
+    p = rng.choice([0.2, 0.5, 0.8])
+    if tag == "any":
+        return gen_pointed(seed, n, max_prop(phi) + 1, p)
+    colours = max_prop(phi) + 2
+    if tag == "marked":
+        return gen_marked(seed, n, colours, p)
+    if tag == "strong":
+        return gen_strongly_marked(seed, n, colours, p)
+    if tag == "regular-strong":
+        d = rng.randint(1, n)
+        return gen_regular_strongly_marked(seed, n, colours, d, d)
+    return gen_tree_like(
+        seed, phi, rng.randint(1, 2), colours, tag == "regular-tree-like"
+    )

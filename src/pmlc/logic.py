@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Union
 
@@ -252,10 +253,18 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+# Deepest nesting of negations, parentheses, modal nodes and unary minus
+# that the parser accepts.  The parser and the recursive functions over
+# formulas use a few interpreter frames per level, so deeper input would
+# overflow the interpreter's stack.
+MAX_NESTING = 256
+
+
 class _Parser:
     def __init__(self, text: str) -> None:
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     # -- token plumbing
 
@@ -275,6 +284,17 @@ class _Parser:
     def at(self, value: str) -> bool:
         return self.peek()[1] == value
 
+    @contextmanager
+    def nested(self, pos: int) -> Iterator[None]:
+        """Parse one nesting level deeper, at most MAX_NESTING deep."""
+        if self.depth >= MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", pos)
+        self.depth += 1
+        try:
+            yield
+        finally:
+            self.depth -= 1
+
     # -- formulas
 
     def phi(self) -> PmlFormula:
@@ -284,23 +304,26 @@ class _Parser:
             return Prop(int(text[1:]))
         if text == "!":
             self.next()
-            return Not(self.phi())
+            with self.nested(pos):
+                return Not(self.phi())
         if text == "<":
-            return self.modal()
+            with self.nested(pos):
+                return self.modal()
         if text == "(":
             self.next()
-            left = self.phi()
-            kind, text, pos = self.next()
-            if text == ")":
-                return left  # redundant parentheses (accepted superset)
-            if text == "&":
-                right = self.phi()
-                self.expect(")")
-                return And(left, right)
-            if text == "|":
-                right = self.phi()
-                self.expect(")")
-                return Not(And(Not(left), Not(right)))
+            with self.nested(pos):
+                left = self.phi()
+                kind, text, pos = self.next()
+                if text == ")":
+                    return left  # redundant parentheses (accepted superset)
+                if text == "&":
+                    right = self.phi()
+                    self.expect(")")
+                    return And(left, right)
+                if text == "|":
+                    right = self.phi()
+                    self.expect(")")
+                    return Not(And(Not(left), Not(right)))
             raise ParseError(f"expected '&', '|' or ')', found {text!r}", pos)
         raise ParseError(f"expected a formula, found {text or 'end of input'!r}", pos)
 
@@ -345,7 +368,8 @@ class _Parser:
         kind, text, pos = self.peek()
         if text == "!":
             self.next()
-            return PeanoNot(self.psi())
+            with self.nested(pos):
+                return PeanoNot(self.psi())
         if text == "(":
             # '(' may open a parenthesized constraint or a parenthesized
             # term of an atom; try the atom reading first and backtrack.
@@ -355,18 +379,19 @@ class _Parser:
             except ParseError:
                 self.i = mark
             self.next()
-            left = self.psi()
-            kind, text, pos = self.next()
-            if text == ")":
-                return left  # redundant parentheses (accepted superset)
-            if text == "&":
-                right = self.psi()
-                self.expect(")")
-                return PeanoAnd(left, right)
-            if text == "|":
-                right = self.psi()
-                self.expect(")")
-                return PeanoNot(PeanoAnd(PeanoNot(left), PeanoNot(right)))
+            with self.nested(pos):
+                left = self.psi()
+                kind, text, pos = self.next()
+                if text == ")":
+                    return left  # redundant parentheses (accepted superset)
+                if text == "&":
+                    right = self.psi()
+                    self.expect(")")
+                    return PeanoAnd(left, right)
+                if text == "|":
+                    right = self.psi()
+                    self.expect(")")
+                    return PeanoNot(PeanoAnd(PeanoNot(left), PeanoNot(right)))
             raise ParseError(f"expected '&', '|' or ')', found {text!r}", pos)
         return self.atom()
 
@@ -409,7 +434,8 @@ class _Parser:
         kind, text, pos = self.peek()
         if text == "-":
             self.next()
-            return {k: -v for k, v in self.term_unary().items()}
+            with self.nested(pos):
+                return {k: -v for k, v in self.term_unary().items()}
         if kind == "int":
             self.next()
             return {(): int(text)}
@@ -421,7 +447,8 @@ class _Parser:
             return {(idx,): 1}
         if text == "(":
             self.next()
-            inner = self.term()
+            with self.nested(pos):
+                inner = self.term()
             self.expect(")")
             return inner
         raise ParseError(f"expected a term, found {text or 'end of input'!r}", pos)

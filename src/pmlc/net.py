@@ -1,4 +1,4 @@
-"""Feedforward ReLU networks over exact rationals, and the gadget library.
+"""Feedforward ReLU networks over exact rationals, and the circuit builder.
 
 Everything here is exact: weights, biases, and states are rationals
 (gmpy2 when available, stdlib fractions otherwise), so threshold and
@@ -8,12 +8,11 @@ certainty of the compiled networks depends on exact equality at the focus.
 The building blocks:
 
 * ``FnnLayer`` / ``Fnn`` — sparse neurons ``relu(bias + sum w_i x_i)``.
-* gadget constructors — small Fnns realizing Boolean algebra on scaled
-  flags, masked multiplication, min/threshold chains, value shifts, and
-  whole-atom checks over pre-scaled monomial values.
-* ``Circuit`` — a named-port builder that assembles many gadgets into one
-  Fnn, padding depth mismatches with identity ReLUs (sound because every
-  routed value is nonnegative).
+* ``Circuit`` — a named-port builder that assembles neurons into one Fnn,
+  padding depth mismatches with identity ReLUs (sound because every
+  routed value is nonnegative).  It carries the one gadget set the
+  compilers use: ``min_``, ``mask01``, ``flag_at``, ``not_at``,
+  ``and_at`` and ``sum_of``.  Every scale a gadget works at is a ref.
 """
 
 from __future__ import annotations
@@ -182,15 +181,34 @@ class Circuit:
         lifted = [(self._lift(r, depth - 1), w) for w, r in terms]
         return self._alloc(depth, rat(bias), lifted)
 
-    def const(self, value: RationalLike) -> Ref:
-        if rat(value) < 0:
-            raise ValueError("constants must be nonnegative (ReLU range)")
-        return self._alloc(1, rat(value), [])
+    # -- gadgets ------------------------------------------------------
+    # Flags are 0/1; a truth value "at scale s" lies in {0, s}.  Scales
+    # arrive as refs, never as biases, because the compiled scales depend
+    # on the graph size.
 
     def min_(self, x: Ref, y: Ref) -> Ref:
         """min(x, y) for nonnegative x, y: relu(x - relu(x - y))."""
         over = self.relu([(1, x), (-1, y)])
         return self.relu([(1, x), (-1, over)])
+
+    def mask01(self, y: Ref, flag: Ref) -> Ref:
+        """y * flag for y in [0, 1] and a 0/1 flag: relu(y + flag - 1)."""
+        return self.relu([(1, y), (1, flag)], -1)
+
+    def flag_at(self, scale: Ref, flag: Ref) -> Ref:
+        """Lift a 0/1 flag to {0, scale} for a scale in (0, 1]."""
+        return self.mask01(scale, flag)
+
+    def not_at(self, scale: Ref, x: Ref) -> Ref:
+        """Negation at a scale: relu(scale - x)."""
+        return self.relu([(1, scale), (-1, x)])
+
+    def and_at(self, scale: Ref, x: Ref, y: Ref) -> Ref:
+        """Conjunction at a scale: relu(x + y - scale)."""
+        return self.relu([(1, x), (1, y), (-1, scale)])
+
+    def sum_of(self, refs: Sequence[Ref]) -> Ref:
+        return self.relu([(1, r) for r in refs])
 
     def output(self, name: str, ref: Ref) -> None:
         self._outputs.append((name, ref))
@@ -222,143 +240,3 @@ class Circuit:
         )
         layers = layers[:depth] + [sel]
         return Fnn(tuple(layers))
-
-
-# ---------------------------------------------------------------------------
-# Gadgets
-
-
-def gadget_not(scale: RationalLike) -> Fnn:
-    """A negation on {0, scale} flags: relu(scale - x)."""
-    c = Circuit({"x": 0})
-    c.output("out", c.relu([(-1, c.input("x"))], scale))
-    return c.build()
-
-
-def gadget_and(scale: RationalLike) -> Fnn:
-    """A conjunction on {0, scale} flags: relu(x1 + x2 - scale)."""
-    c = Circuit({"x1": 0, "x2": 1})
-    c.output(
-        "out",
-        c.relu([(1, c.input("x1")), (1, c.input("x2"))], rat(-1) * rat(scale)),
-    )
-    return c.build()
-
-
-def gadget_mask_mul() -> Fnn:
-    """relu(y - (1 - b)): equals b*y for y in [0,1] and a 0/1 flag b."""
-    c = Circuit({"y": 0, "b": 1})
-    c.output("out", c.relu([(1, c.input("y")), (1, c.input("b"))], -1))
-    return c.build()
-
-
-def gadget_min(r2: RationalLike) -> Fnn:
-    """min(x, r2) for nonnegative x."""
-    if rat(r2) < 0:
-        raise ValueError("threshold must be nonnegative")
-    c = Circuit({"x": 0})
-    x = c.input("x")
-    over = c.relu([(1, x)], rat(-1) * rat(r2))
-    c.output("out", c.relu([(1, x), (-1, over)]))
-    return c.build()
-
-
-def gadget_shift(r: RationalLike) -> Fnn:
-    """0/1 flag to {0, r}: relu(r - relu(1 - x)).
-
-    Sound for 0 < r <= 1, which covers every scale the compiler emits
-    (all are reciprocals of positive node-count powers).
-    """
-    c = Circuit({"x": 0})
-    inner = c.relu([(-1, c.input("x"))], 1)
-    c.output("out", c.relu([(-1, inner)], r))
-    return c.build()
-
-
-def term_check_refs(
-    c: Circuit,
-    monomial_inputs: Sequence[Ref],
-    coeffs: Sequence[RationalLike],
-    bound: RationalLike,
-    r1: Rational,
-    r2: Rational,
-) -> Ref:
-    """Atom check inside a circuit; see gadget_term_check."""
-    if r2 > r1:
-        raise ValueError("inner scale r2 must not exceed input scale r1")
-    if r2 <= 0:
-        raise ValueError("scales must be positive")
-    terms = [(rat(a), m) for a, m in zip(coeffs, monomial_inputs)]
-    x_t = c.relu(terms, rat(-1) * r1 * rat(bound))
-    r2_ref = c.const(r2)
-    y_t = c.min_(x_t, r2_ref)
-    return c.relu([(-1, y_t)], r2)
-
-
-def gadget_term_check(
-    coeffs: Sequence[RationalLike],
-    bound: RationalLike,
-    r1: RationalLike,
-    r2: RationalLike,
-) -> Fnn:
-    """Checks one atom ``sum a_i m_i <= bound`` over pre-scaled inputs.
-
-    Inputs are the monomial values scaled by r1 (input i = r1 * m_i).  The
-    chain x_t = relu(sum a_i (r1 m_i) - r1 b), y_t = min(x_t, r2),
-    z_t = relu(r2 - y_t) yields r2 when the atom holds and 0 otherwise,
-    provided x_t is either 0 or at least r2 — guaranteed by r2 <= r1
-    because a violated integer atom pushes x_t to at least r1.
-    """
-    c = Circuit({f"m{i}": i for i in range(len(coeffs))})
-    refs = [c.input(f"m{i}") for i in range(len(coeffs))]
-    c.output("out", term_check_refs(c, refs, coeffs, bound, rat(r1), rat(r2)))
-    return c.build()
-
-
-def boolean_refs(
-    c: Circuit,
-    formulas: Sequence,
-    bit_refs: Sequence[Ref],
-) -> dict:
-    """0/1 truth refs for modal-free formulas over label-bit refs."""
-    from .logic import And, Modal, Not, Prop, modal_depth
-
-    memo: dict = {}
-
-    def truth(f) -> Ref:
-        if f in memo:
-            return memo[f]
-        if isinstance(f, Prop):
-            ref = c.relu([(1, bit_refs[f.index])])
-        elif isinstance(f, Not):
-            ref = c.relu([(-1, truth(f.operand))], 1)
-        elif isinstance(f, And):
-            a, b = truth(f.left), truth(f.right)
-            ref = c.relu([(1, a), (1, b)], -1)
-        elif isinstance(f, Modal):
-            raise ValueError("modal nodes have no Boolean-layer truth value")
-        else:  # pragma: no cover
-            raise TypeError(f"not a formula: {f!r}")
-        memo[f] = ref
-        return ref
-
-    for f in formulas:
-        if modal_depth(f) != 0:
-            raise ValueError("Boolean layer only evaluates modal-free formulas")
-        truth(f)
-    return memo
-
-
-def build_boolean_layer(formulas: Sequence, colours: int) -> Fnn:
-    """Truth values of modal-free formulas from a label bitvector.
-
-    The input is a full combination layout [state, in-agg, out-agg,
-    global-agg] of width 4*colours; everything beyond the label bits is
-    ignored (zero weight).  Outputs follow the order of ``formulas``.
-    """
-    c = Circuit({f"c{i}": i for i in range(colours)}, width=4 * colours)
-    bits = [c.input(f"c{i}") for i in range(colours)]
-    memo = boolean_refs(c, formulas, bits)
-    for i, f in enumerate(formulas):
-        c.output(f"f{i}", memo[f])
-    return c.build()

@@ -1,23 +1,15 @@
-"""Formula banks and graph-class instance makers shared by compiler suites.
+"""Formula banks shared by the compiler suites.
 
 Each compilation target gets a bank of hand-written formulas (the three
 worked examples appear in every bank whose fragment admits them) plus
-seeded random fragment-conforming fills, and a generator that produces
-members of the target's judged graph class.
+seeded random fill-ins that conform to the target's fragment.  Members
+of a target's judged graph class come from ``pmlc.graphs.class_instance``.
 """
 
 import random
 from typing import List
 
-from pmlc.graphs import (
-    PointedGraph,
-    gen_marked,
-    gen_pointed,
-    gen_regular_strongly_marked,
-    gen_strongly_marked,
-    gen_tree_like,
-)
-from pmlc.logic import Modality, PmlFormula, classify, max_prop, parse_formula
+from pmlc.logic import Modality, PmlFormula, classify, parse_formula
 
 from formula_gen import layered_formula, random_formula
 
@@ -142,23 +134,3 @@ def bank(target_name: str, random_count: int = 20) -> List[PmlFormula]:
         out.append(_random_fill(target_name, rng))
     return out
 
-
-def class_instance(
-    tag: str, seed: int, rng: random.Random, phi: PmlFormula, max_nodes: int = 8
-) -> PointedGraph:
-    """One member of the graph class named by an acceptance-contract tag."""
-    n = rng.randint(1, max_nodes)
-    p = rng.choice([0.2, 0.5, 0.8])
-    if tag == "any":
-        return gen_pointed(seed, n, max_prop(phi) + 1, p)
-    colours = max_prop(phi) + 2
-    if tag == "marked":
-        return gen_marked(seed, n, colours, p)
-    if tag == "strong":
-        return gen_strongly_marked(seed, n, colours, p)
-    if tag == "regular-strong":
-        d = rng.randint(1, n)
-        return gen_regular_strongly_marked(seed, n, colours, d, d)
-    return gen_tree_like(
-        seed, phi, rng.randint(1, 2), colours, tag == "regular-tree-like"
-    )

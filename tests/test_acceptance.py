@@ -14,7 +14,13 @@ from math import prod
 import pytest
 
 from pmlc.compiler import ALL_TARGETS, compile
-from pmlc.graphs import Graph, PointedGraph, check_tree_like, gen_pointed
+from pmlc.graphs import (
+    Graph,
+    PointedGraph,
+    check_tree_like,
+    class_instance,
+    gen_pointed,
+)
 from pmlc.logic import (
     Modality,
     Monomial,
@@ -25,10 +31,11 @@ from pmlc.logic import (
     peano_arity,
 )
 from pmlc.mpnn import Aggregator, judge, mpnn_eval, random_mpnn
-from pmlc.net import ZERO, build_boolean_layer, fnn_eval, gadget_term_check, rat
+from pmlc.net import ZERO, fnn_eval, rat
 from pmlc.oracle import all_pointed_graphs, eval_peano, models
 
 from formula_gen import random_boolean, random_formula
+from gadget_layers import atom_check_layer, boolean_layer, layer_inputs
 from shapes import (
     OUT_OUT,
     biloop_star,
@@ -37,7 +44,7 @@ from shapes import (
     directed_triangle,
     loopless_tree,
 )
-from targets import bank, class_instance
+from targets import bank
 
 MEAN, SUM, MAX = Aggregator.MEAN, Aggregator.SUM, Aggregator.MAX
 
@@ -166,14 +173,16 @@ def test_criterion_5_flattening_equivalence():
 
 
 def test_criterion_6_gadget_conformance():
+    """The gadgets the builders ship: write_flags and LayerPlan.atom_check."""
     rng = random.Random("gadget-acceptance")
     checked = 0
     for k in range(1, 5):
         formulas = [random_boolean(rng, k) for _ in range(8)]
-        layer = build_boolean_layer(formulas, k)
+        formulas = list(dict.fromkeys(formulas))  # one flag dim per formula
+        layer = boolean_layer(formulas, k)
         for bits in product([0, 1], repeat=k):
             inst = PointedGraph(Graph(1, k, frozenset(), (bits,)), 0)
-            got = fnn_eval(layer, list(bits) + [0] * (3 * k))
+            got = fnn_eval(layer, layer_inputs(bits))
             want = [rat(1 if models(inst, f) else 0) for f in formulas]
             assert got == want
             checked += 1
@@ -187,16 +196,14 @@ def test_criterion_6_gadget_conformance():
     ]
     for r1, r2 in ((rat(1), rat(1)), (rat(1, 4), rat(1, 4)), (rat(1, 2), rat(1, 8))):
         for atom in atoms:
-            gadget = gadget_term_check(
-                [m.coeff for m in atom.monomials], atom.bound, r1, r2
-            )
+            layer = atom_check_layer(atom)
             arity = peano_arity(atom)
             for assignment in product(range(5), repeat=arity):
-                values = [
-                    prod(assignment[v - 1] for v in m.variables)
+                monomials = [
+                    r1 * prod(assignment[v - 1] for v in m.variables)
                     for m in atom.monomials
                 ]
-                got = fnn_eval(gadget, [r1 * val for val in values])[0]
+                got = fnn_eval(layer, layer_inputs(monomials + [r1, r2]))[0]
                 want = r2 if eval_peano(atom, assignment) else ZERO
                 assert got == want
                 checked += 1

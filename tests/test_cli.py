@@ -13,6 +13,7 @@ from pmlc.graphs import (
     parse_graph,
     print_graph,
 )
+from pmlc.logic import MAX_NESTING
 from pmlc.mpnn import parse_mpnn
 from pmlc.net import rat
 
@@ -51,6 +52,26 @@ def test_parse_rejects_bad_formula(tmp_path, capsys):
     f = write(tmp_path, "bad.pml", "<in>{x1 <= 1}(p0, p1)")
     assert main(["parse", f]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_parse_rejects_runaway_nesting(tmp_path, capsys):
+    f = write(tmp_path, "deep.pml", "!" * 1200 + "p0")
+    assert main(["parse", f]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "nesting" in err
+    assert "Traceback" not in err
+
+
+def test_formula_at_the_nesting_bound_runs_end_to_end(tmp_path, capsys):
+    f = write(tmp_path, "deep.pml", "!" * MAX_NESTING + "p0")
+    out = str(tmp_path / "deep.mpnn")
+    g = graph_file(tmp_path, "g.graph", 2, 2, [(0, 1)], [(1, 1), (0, 0)])
+    assert main(["parse", f]) == 0
+    assert main(["compile", f, "--target", "global-shallow", "--out", out]) == 0
+    assert main(["check", f, g]) == 0
+    assert main(["eval", out, g]) == 0
+    assert main(["verify", f, "--target", "global-shallow", "--seeds", "3"]) == 0
+    assert "error" not in capsys.readouterr().err
 
 
 def test_missing_file_is_a_usage_error(tmp_path, capsys):

@@ -1,8 +1,14 @@
 """Tests for the formula-to-network compilers and the compilation facade."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import pmlc
 
 from pmlc.compiler import (
     ALL_TARGETS,
@@ -16,9 +22,11 @@ from pmlc.compiler import (
     format_report,
     parse_target,
 )
+from pmlc.compiler.build import Ledger
 from pmlc.graphs import (
     Graph,
     PointedGraph,
+    class_instance,
     is_regular,
     is_strongly_marked,
 )
@@ -34,7 +42,6 @@ from targets import (
     SQUARE_VS_CUBE_LOCAL,
     THREE_MODALITY_MIXED,
     bank,
-    class_instance,
 )
 
 MEAN, SUM, MAX = Aggregator.MEAN, Aggregator.SUM, Aggregator.MAX
@@ -542,3 +549,46 @@ def test_judge_matches_oracle_smoke(name):
                 i,
                 j,
             )
+
+
+# ---------------------------------------------------------------------------
+# Internal invariants are raises, not asserts
+
+
+def test_ledger_pays_glob_then_in_then_out():
+    ledger = Ledger(1, 2, 1)
+    assert [ledger.pay() for _ in range(5)] == ["glob", "in", "in", "out", None]
+    ledger.close()
+    with pytest.raises(RuntimeError):
+        Ledger(ins=1).close()
+    with pytest.raises(RuntimeError):
+        Ledger(outs=-1).close()
+
+
+_SHRUNK_BUDGET = """
+import dataclasses
+from pmlc.compiler import TARGET_KINDS, compile
+from pmlc.logic import parse_formula
+assert False, "this check needs assertions stripped (python -O)"
+row = TARGET_KINDS["global-shallow"]
+TARGET_KINDS["global-shallow"] = dataclasses.replace(row, budget=("ceiling", 0, 1))
+try:
+    compile(parse_formula("<top>{x1 >= 2}(p0)"), "global-shallow")
+except RuntimeError as e:
+    print(f"raised {e}")
+"""
+
+
+def test_layer_budget_is_enforced_under_python_O():
+    src = str(Path(pmlc.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _SHRUNK_BUDGET],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised global-shallow: 2 layers, ceiling budget 1")

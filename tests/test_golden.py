@@ -9,7 +9,6 @@ change is intended, regenerate the file and say why in CHANGES.md:
 """
 
 import hashlib
-import sys
 from pathlib import Path
 
 import pytest
@@ -17,10 +16,7 @@ import pytest
 from pmlc.compiler import ALL_TARGETS, compile, format_report
 from pmlc.mpnn import print_mpnn
 
-if __name__ == "__main__":
-    sys.path.insert(0, str(Path(__file__).parent))
-
-from targets import bank  # noqa: E402
+from targets import bank
 
 GOLDEN = Path(__file__).with_name("golden_digests.txt")
 

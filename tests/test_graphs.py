@@ -1,5 +1,8 @@
 """Graph model, class predicates, trace sets, generators, serialization."""
 
+import gc
+import weakref
+
 import pytest
 
 from pmlc.graphs import (
@@ -78,6 +81,18 @@ def test_neigh_self_loop_counts_both_ways():
     assert neigh(g, 0, "in") == (0,)
     assert neigh(g, 0, "out") == (0,)
     assert neigh(g, 0, "both") == (0,)
+
+
+def test_neigh_does_not_keep_graphs_alive():
+    g = graph_of(3, 1, {(0, 1), (2, 1)})
+    assert neigh(g, 1, "in") == (0, 2)
+    # The adjacency kept on g stays out of equality and hashing.
+    twin = graph_of(3, 1, {(0, 1), (2, 1)})
+    assert g == twin and hash(g) == hash(twin)
+    ref = weakref.ref(g)
+    del g
+    gc.collect()
+    assert ref() is None
 
 
 def test_is_regular():

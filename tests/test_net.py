@@ -1,32 +1,26 @@
-"""Tests for the exact-rational ReLU networks and the gadget library."""
+"""Tests for the exact-rational ReLU networks and the circuit gadgets."""
 
 import random
 
 import pytest
 
 from pmlc.graphs import Graph, PointedGraph
-from pmlc.logic import And, Not, Prop, parse_formula, parse_peano
+from pmlc.logic import And, Monomial, Not, PeanoAtom, Prop, parse_formula, parse_peano
 from pmlc.net import (
     Circuit,
     Fnn,
     FnnLayer,
     ONE,
     ZERO,
-    build_boolean_layer,
     fnn_eval,
     format_rational,
-    gadget_and,
-    gadget_mask_mul,
-    gadget_min,
-    gadget_not,
-    gadget_shift,
-    gadget_term_check,
     parse_rational,
     rat,
 )
 from pmlc.oracle import eval_peano, models
 
 from formula_gen import random_boolean
+from gadget_layers import atom_check_layer, boolean_layer, layer_inputs
 
 
 # ---------------------------------------------------------------------------
@@ -123,137 +117,148 @@ def test_fnn_needs_a_layer():
 
 
 # ---------------------------------------------------------------------------
-# Boolean gadgets
+# Circuit gadgets (every scale arrives as an input, as in compiled layers)
+
+
+def _gadget(arity, make):
+    """A one-gadget Fnn: ``make(circuit, *input_refs)`` over ``arity`` inputs."""
+    c = Circuit({f"x{i}": i for i in range(arity)})
+    c.output("out", make(c, *(c.input(f"x{i}") for i in range(arity))))
+    return c.build()
+
+
+def _run(net, *inputs):
+    (out,) = fnn_eval(net, list(inputs))
+    return out
+
+
+NOT_AT = _gadget(2, lambda c, s, x: c.not_at(s, x))
+AND_AT = _gadget(3, lambda c, s, x, y: c.and_at(s, x, y))
+MASK01 = _gadget(2, lambda c, y, b: c.mask01(y, b))
+MIN = _gadget(2, lambda c, x, y: c.min_(x, y))
+FLAG_AT = _gadget(2, lambda c, s, b: c.flag_at(s, b))
 
 
 def test_gadget_not_truth_table():
-    g = gadget_not(1)
-    assert fnn_eval(g, [0]) == [ONE]
-    assert fnn_eval(g, [1]) == [ZERO]
+    assert _run(NOT_AT, 1, 0) == ONE
+    assert _run(NOT_AT, 1, 1) == ZERO
 
 
 def test_gadget_not_scaled():
-    g = gadget_not(rat(1, 8))
-    assert fnn_eval(g, [0]) == [rat(1, 8)]
-    assert fnn_eval(g, [rat(1, 8)]) == [ZERO]
+    s = rat(1, 8)
+    assert _run(NOT_AT, s, 0) == s
+    assert _run(NOT_AT, s, s) == ZERO
 
 
 def test_gadget_and_truth_table():
-    g = gadget_and(1)
-    assert fnn_eval(g, [0, 0]) == [ZERO]
-    assert fnn_eval(g, [0, 1]) == [ZERO]
-    assert fnn_eval(g, [1, 0]) == [ZERO]
-    assert fnn_eval(g, [1, 1]) == [ONE]
+    assert _run(AND_AT, 1, 0, 0) == ZERO
+    assert _run(AND_AT, 1, 0, 1) == ZERO
+    assert _run(AND_AT, 1, 1, 0) == ZERO
+    assert _run(AND_AT, 1, 1, 1) == ONE
 
 
 def test_gadget_and_scaled():
     s = rat(1, 8)
-    g = gadget_and(s)
-    assert fnn_eval(g, [s, s]) == [s]
-    assert fnn_eval(g, [0, s]) == [ZERO]
-    assert fnn_eval(g, [0, 0]) == [ZERO]
+    assert _run(AND_AT, s, s, s) == s
+    assert _run(AND_AT, s, 0, s) == ZERO
+    assert _run(AND_AT, s, 0, 0) == ZERO
 
 
 @pytest.mark.parametrize("den", [1, 2, 3, 7, 64])
 def test_boolean_gadgets_exhaustive_grid(den):
     scale = rat(1, den)
-    g_not, g_and = gadget_not(scale), gadget_and(scale)
     for a in (ZERO, scale):
-        (out,) = fnn_eval(g_not, [a])
+        out = _run(NOT_AT, scale, a)
         assert out == (scale if a == ZERO else ZERO)
         assert out >= 0
         for b in (ZERO, scale):
-            (out,) = fnn_eval(g_and, [a, b])
+            out = _run(AND_AT, scale, a, b)
             assert out == (scale if a == b == scale else ZERO)
             assert out >= 0
 
 
 # ---------------------------------------------------------------------------
-# Masked multiplication, min, shift
+# Masked multiplication, min, flag lift
 
 
 def test_gadget_mask_mul_examples():
-    g = gadget_mask_mul()
-    assert fnn_eval(g, [rat(3, 4), 1]) == [rat(3, 4)]
-    assert fnn_eval(g, [rat(3, 4), 0]) == [ZERO]
-    assert fnn_eval(g, [rat(1, 16), 1]) == [rat(1, 16)]
-    assert fnn_eval(g, [1, 1]) == [ONE]
-    assert fnn_eval(g, [0, 0]) == [ZERO]
+    assert _run(MASK01, rat(3, 4), 1) == rat(3, 4)
+    assert _run(MASK01, rat(3, 4), 0) == ZERO
+    assert _run(MASK01, rat(1, 16), 1) == rat(1, 16)
+    assert _run(MASK01, 1, 1) == ONE
+    assert _run(MASK01, 0, 0) == ZERO
 
 
 def test_gadget_mask_mul_grid():
-    g = gadget_mask_mul()
     for num in range(65):
         y = rat(num, 64)
         for b in (0, 1):
-            assert fnn_eval(g, [y, b]) == [y * b]
+            assert _run(MASK01, y, b) == y * b
 
 
 def test_gadget_min_examples():
-    g = gadget_min(rat(1, 16))
-    assert fnn_eval(g, [0]) == [ZERO]
-    assert fnn_eval(g, [rat(1, 32)]) == [rat(1, 32)]
-    assert fnn_eval(g, [rat(1, 16)]) == [rat(1, 16)]
-    assert fnn_eval(g, [rat(1, 2)]) == [rat(1, 16)]
-    assert fnn_eval(g, [1]) == [rat(1, 16)]
+    r2 = rat(1, 16)
+    assert _run(MIN, 0, r2) == ZERO
+    assert _run(MIN, rat(1, 32), r2) == rat(1, 32)
+    assert _run(MIN, rat(1, 16), r2) == rat(1, 16)
+    assert _run(MIN, rat(1, 2), r2) == rat(1, 16)
+    assert _run(MIN, 1, r2) == rat(1, 16)
 
 
 def test_gadget_min_grid():
     for den in (1, 4, 64):
         r2 = rat(1, den)
-        g = gadget_min(r2)
         for num in range(0, 130, 3):
             x = rat(num, 64)
-            assert fnn_eval(g, [x]) == [min(x, r2)]
+            assert _run(MIN, x, r2) == min(x, r2)
 
 
 def test_gadget_shift_examples():
-    g = gadget_shift(rat(1, 64))
-    assert fnn_eval(g, [0]) == [ZERO]
-    assert fnn_eval(g, [1]) == [rat(1, 64)]
-    ninth = gadget_shift(rat(1, 9))
-    assert fnn_eval(ninth, [1]) == [rat(1, 9)]
-    assert fnn_eval(ninth, [0]) == [ZERO]
-    # r = 1 degenerates to the identity on flags.
-    ident = gadget_shift(ONE)
-    assert fnn_eval(ident, [1]) == [ONE]
-    assert fnn_eval(ident, [0]) == [ZERO]
+    """``flag_at`` lifts a 0/1 flag to {0, scale}."""
+    assert _run(FLAG_AT, rat(1, 64), 0) == ZERO
+    assert _run(FLAG_AT, rat(1, 64), 1) == rat(1, 64)
+    assert _run(FLAG_AT, rat(1, 9), 1) == rat(1, 9)
+    assert _run(FLAG_AT, rat(1, 9), 0) == ZERO
+    # Scale 1 degenerates to the identity on flags.
+    assert _run(FLAG_AT, ONE, 1) == ONE
+    assert _run(FLAG_AT, ONE, 0) == ZERO
 
 
 # ---------------------------------------------------------------------------
-# Term check
+# Term check: LayerPlan.atom_check over monomial dims, unit U and scale R2
+
+
+def _check(atom, r1, r2, counts):
+    """Run atom_check with m_h = r1 * counts[h], U = r1 and R2 = r2."""
+    net = atom_check_layer(atom)
+    state = [r1 * m for m in counts] + [r1, r2]
+    (out,) = fnn_eval(net, layer_inputs(state))
+    return out
 
 
 def test_term_check_single_variable_atom():
-    # x1 <= 1 with inputs pre-scaled by 1/4; inner scale 1/16.
-    g = gadget_term_check([1], 1, rat(1, 4), rat(1, 16))
+    # x1 <= 1 with unit 1/4 and check scale 1/16.
+    atom = parse_peano("x1 <= 1")
     # m1 = 0, 1: satisfied -> r2.
-    assert fnn_eval(g, [0]) == [rat(1, 16)]
-    assert fnn_eval(g, [rat(1, 4)]) == [rat(1, 16)]
+    assert _check(atom, rat(1, 4), rat(1, 16), [0]) == rat(1, 16)
+    assert _check(atom, rat(1, 4), rat(1, 16), [1]) == rat(1, 16)
     # m1 = 2, 3: violated -> 0.
-    assert fnn_eval(g, [rat(2, 4)]) == [ZERO]
-    assert fnn_eval(g, [rat(3, 4)]) == [ZERO]
+    assert _check(atom, rat(1, 4), rat(1, 16), [2]) == ZERO
+    assert _check(atom, rat(1, 4), rat(1, 16), [3]) == ZERO
 
 
 def test_term_check_equal_scales_saturate():
-    g = gadget_term_check([1], 2, ONE, ONE)
-    assert fnn_eval(g, [2]) == [ONE]
-    assert fnn_eval(g, [3]) == [ZERO]
-    assert fnn_eval(g, [7]) == [ZERO]
+    atom = parse_peano("x1 <= 2")
+    assert _check(atom, ONE, ONE, [2]) == ONE
+    assert _check(atom, ONE, ONE, [3]) == ZERO
+    assert _check(atom, ONE, ONE, [7]) == ZERO
 
 
 def test_term_check_negative_coefficients():
     # -x1 <= 2 holds for every natural x1.
-    g = gadget_term_check([-1], 2, rat(1, 2), rat(1, 2))
+    atom = PeanoAtom((Monomial(-1, (1,)),), 2)
     for m in range(5):
-        assert fnn_eval(g, [rat(m, 2)]) == [rat(1, 2)]
-
-
-def test_term_check_rejects_bad_scales():
-    with pytest.raises(ValueError):
-        gadget_term_check([1], 1, rat(1, 16), rat(1, 4))
-    with pytest.raises(ValueError):
-        gadget_term_check([1], 1, ONE, ZERO)
+        assert _check(atom, rat(1, 2), rat(1, 2), [m]) == rat(1, 2)
 
 
 _SWEEP_ATOMS = [
@@ -289,18 +294,17 @@ def test_term_check_matches_arithmetic_oracle(text):
 
     atom = parse_peano(text)
     arity = peano_arity(atom)
-    coeffs = [m.coeff for m in atom.monomials]
+    net = atom_check_layer(atom)
     for r1, r2 in _SCALE_PAIRS:
-        g = gadget_term_check(coeffs, atom.bound, r1, r2)
         for assignment in _assignments(arity):
-            inputs = []
+            state = []
             for mono in atom.monomials:
                 value = 1
                 for v in mono.variables:
                     value *= assignment[v - 1]
-                inputs.append(r1 * value)
+                state.append(r1 * value)
             expected = r2 if eval_peano(atom, assignment) else ZERO
-            assert fnn_eval(g, inputs) == [expected]
+            assert fnn_eval(net, layer_inputs(state + [r1, r2])) == [expected]
 
 
 # ---------------------------------------------------------------------------
@@ -344,17 +348,15 @@ def test_circuit_merges_duplicate_term_indices():
     assert fnn_eval(c.build(), [rat(1, 2)]) == [ONE]
 
 
-def test_circuit_const_and_width_checks():
+def test_circuit_width_checks():
     c = Circuit({"x": 0}, width=8)
-    c.output("out", c.relu([(1, c.const(rat(5, 3)))]))
+    c.output("out", c.relu([(1, c.relu([], rat(5, 3)))]))
     net = c.build()
     assert net.input_dim == 8
     assert fnn_eval(net, [0] * 8) == [rat(5, 3)]
 
     with pytest.raises(ValueError):
         Circuit({"x": 3}, width=2)
-    with pytest.raises(ValueError):
-        Circuit({"x": 0}).const(-1)
     with pytest.raises(ValueError):
         Circuit({"x": 0}).build()
 
@@ -367,7 +369,7 @@ def test_circuit_raw_input_output_is_lifted():
 
 
 # ---------------------------------------------------------------------------
-# Boolean layer
+# Boolean layer (the builders' write_flags)
 
 
 def _single_node(bits):
@@ -378,7 +380,7 @@ def _single_node(bits):
 
 def test_boolean_layer_example():
     f = And(Not(Prop(0)), Prop(1))
-    net = build_boolean_layer([f], 2)
+    net = boolean_layer([f], 2)
     assert net.input_dim == 8
     assert fnn_eval(net, [0, 1] + [0] * 6) == [ONE]
     assert fnn_eval(net, [1, 1] + [0] * 6) == [ZERO]
@@ -386,14 +388,14 @@ def test_boolean_layer_example():
 
 def test_boolean_layer_ignores_aggregation_inputs():
     f = parse_formula("(p0 | p1)")
-    net = build_boolean_layer([f], 2)
+    net = boolean_layer([f], 2)
     junk = [rat(7, 3), rat(9), rat(1, 13), rat(4), rat(5), rat(6)]
     assert fnn_eval(net, [1, 0] + junk) == fnn_eval(net, [1, 0] + [0] * 6)
 
 
 def test_boolean_layer_rejects_modal_formulas():
     with pytest.raises(ValueError):
-        build_boolean_layer([parse_formula("<top>{x1 <= 0}(p0)")], 1)
+        boolean_layer([parse_formula("<top>{x1 <= 0}(p0)")], 1)
 
 
 @pytest.mark.parametrize("colours", [1, 2, 3, 4])
@@ -404,19 +406,19 @@ def test_boolean_layer_matches_oracle_on_all_labels(colours):
         formulas.append(parse_formula("(p0 | p1)"))
         formulas.append(And(Prop(0), Not(Prop(1))))
     formulas.extend(random_boolean(rng, colours) for _ in range(4))
-    net = build_boolean_layer(formulas, colours)
+    formulas = list(dict.fromkeys(formulas))  # one flag dim per formula
+    net = boolean_layer(formulas, colours)
     for mask in range(2 ** colours):
         bits = [(mask >> i) & 1 for i in range(colours)]
         pg = _single_node(bits)
-        inputs = bits + [0] * (3 * colours)
-        got = fnn_eval(net, inputs)
+        got = fnn_eval(net, layer_inputs(bits))
         for f, value in zip(formulas, got):
             assert value in (ZERO, ONE)
             assert (value == ONE) == models(pg, f)
 
 
 def test_boolean_layer_output_order_matches_input_order():
-    net = build_boolean_layer([Prop(1), Prop(0)], 2)
+    net = boolean_layer([Prop(1), Prop(0)], 2)
     assert fnn_eval(net, [1, 0] + [0] * 6) == [ZERO, ONE]
 
 
@@ -426,13 +428,14 @@ def test_boolean_layer_output_order_matches_input_order():
 
 def test_every_gadget_output_is_nonnegative_on_random_inputs():
     rng = random.Random("nonneg")
+    atom = PeanoAtom((Monomial(2, (1,)), Monomial(-1, (2,))), 3)
     gadgets = [
-        (gadget_not(rat(1, 3)), 1),
-        (gadget_and(rat(1, 5)), 2),
-        (gadget_mask_mul(), 2),
-        (gadget_min(rat(1, 7)), 1),
-        (gadget_shift(rat(2, 3)), 1),
-        (gadget_term_check([2, -1], 3, rat(1, 4), rat(1, 8)), 2),
+        (NOT_AT, 2),
+        (AND_AT, 3),
+        (MASK01, 2),
+        (MIN, 2),
+        (FLAG_AT, 2),
+        (atom_check_layer(atom), 16),
     ]
     for net, arity in gadgets:
         for _ in range(50):
