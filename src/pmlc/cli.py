@@ -10,7 +10,8 @@ verdict against the oracle on many generated class instances), and
 networks cannot count without a mark).
 
 Exit codes: 0 success, 1 verification failure, 2 input or format error,
-3 fragment mismatch, 4 class-precondition failure.  All randomness
+3 fragment mismatch or a compilation size limit (trace cap, flattening
+bound), 4 class-precondition failure.  All randomness
 derives from a single ``--seed`` flag.
 """
 
@@ -35,7 +36,16 @@ from .graphs import (
     parse_graph,
     print_graph,
 )
-from .logic import ParseError, classify, degree, max_prop, modal_depth, parse_formula, print_formula
+from .logic import (
+    FlattenLimitExceeded,
+    ParseError,
+    classify,
+    degree,
+    max_prop,
+    modal_depth,
+    parse_formula,
+    print_formula,
+)
 from .mpnn import (
     CLASS_TAGS,
     Aggregator,
@@ -286,7 +296,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FragmentMismatch as e:
+    except (FragmentMismatch, FlattenLimitExceeded) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
     except ClassViolation as e:

@@ -41,7 +41,7 @@ from ..logic import (
     subformulas_ordered,
     trace_index,
 )
-from ..mpnn import Aggregator, CertaintyDescriptor, Mpnn
+from ..mpnn import Aggregator, Mpnn
 from .build import FragmentMismatch, TraceLimitExceeded
 from .nested import build_nested
 from .shallow import (
@@ -69,7 +69,6 @@ __all__ = [
     "build_local_mixed",
     "build_nested",
     "build_shallow_mixed",
-    "certainty_of",
     "compile",
     "format_report",
     "parse_target",
@@ -191,8 +190,9 @@ def compile(
     """Translate ``phi`` for ``target``; check the layer budget; report.
 
     Raises FragmentMismatch when the formula lies outside the target's
-    fragment and TraceLimitExceeded when a nested compilation would need
-    more than ``trace_cap`` trace dimensions.
+    fragment, TraceLimitExceeded when a nested compilation would need
+    more than ``trace_cap`` trace dimensions, and FlattenLimitExceeded
+    when a global-deep formula has too many nested modal subformulas.
     """
     if isinstance(target, str):
         target = parse_target(target)
@@ -214,7 +214,7 @@ def compile(
             f"with {len(subformulas_ordered(flat))} subformulas"
         )
     if kind.startswith("nested"):
-        notes.append(f"trace index size {len(trace_index(phi))}")
+        notes.append(f"trace index size {sum(1 for _ in trace_index(phi))}")
 
     report = CompilationReport(
         target=target.name,
@@ -231,11 +231,6 @@ def compile(
         notes=tuple(notes),
     )
     return net, report
-
-
-def certainty_of(report: CompilationReport) -> CertaintyDescriptor:
-    """Recognition certainty c(n) = n^(-e) promised by a compilation."""
-    return CertaintyDescriptor(report.exponent)
 
 
 def format_report(report: CompilationReport) -> str:

@@ -36,6 +36,7 @@ node's own degrees.  e = M-1+2KM; the verdict reads n^-e at the focus.
 from __future__ import annotations
 
 from functools import partial
+from itertools import islice
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..logic import (
@@ -149,10 +150,10 @@ def build_nested(
     if M == 0:
         return degenerate_boolean(phi, colours, "marked", mark)
     _check_critical(phi, M)
-    tidx = trace_index(phi)
+    tidx = tuple(islice(trace_index(phi), trace_cap + 2))
     if len(tidx) - 1 > trace_cap:
         raise TraceLimitExceeded(
-            f"formula needs {len(tidx) - 1} trace dimensions, cap is {trace_cap}"
+            f"formula needs more than {trace_cap} trace dimensions, cap is {trace_cap}"
         )
     K = degree(phi)
     subsets = range(2 ** len(tidx))

@@ -69,8 +69,8 @@ class PointedGraph:
 
 
 def neigh(g: Graph, v: int, direction: str) -> tuple[int, ...]:
-    """Neighbourhood of ``v``: sources of edges into v (``in``), targets of
-    edges out of v (``out``), or their union (``both``); sorted."""
+    """Neighbourhood of ``v``: sources of edges into v (``in``) or targets
+    of edges out of v (``out``); sorted."""
     if not 0 <= v < g.node_count:
         raise ValueError("node out of range")
     ins, outs = g.adjacency
@@ -78,8 +78,6 @@ def neigh(g: Graph, v: int, direction: str) -> tuple[int, ...]:
         return ins[v]
     if direction == "out":
         return outs[v]
-    if direction == "both":
-        return tuple(sorted(set(ins[v]) | set(outs[v])))
     raise ValueError(f"unknown direction {direction!r}")
 
 
@@ -133,20 +131,23 @@ def _reach_maps(
     parent: dict[tuple[Modality, ...], dict[int, Optional[int]]] = {
         (): {pg.focus: None}
     }
-    md = modal_depth(phi)
-    for j in range(1, min(depth, md) + 1):
-        for t in sorted(traces(phi, j)):
-            prefix = t[:-1]
-            if prefix not in reach:
-                continue  # unreachable prefix level
-            direction = _step_direction(t[-1])
-            found: dict[int, Optional[int]] = {}
-            for q in sorted(reach[prefix]):
-                for w in neigh(g, q, direction):
-                    found.setdefault(w, q)
-            reach[t] = set(found)
-            parent[t] = found
+    for t in traces(phi):  # prefix-closed, so reach[t[:-1]] is already set
+        if len(t) > depth:
+            break
+        direction = _step_direction(t[-1])
+        found: dict[int, Optional[int]] = {}
+        for q in sorted(reach[t[:-1]]):
+            for w in neigh(g, q, direction):
+                found.setdefault(w, q)
+        reach[t] = set(found)
+        parent[t] = found
     return reach, parent
+
+
+def _traces_reaching(
+    reach: dict[tuple[Modality, ...], set[int]], u: int, level: int
+) -> frozenset[tuple[Modality, ...]]:
+    return frozenset(t for t, nodes in reach.items() if len(t) <= level and u in nodes)
 
 
 def trace_set(
@@ -162,7 +163,7 @@ def trace_set(
     if not 0 <= u < pg.graph.node_count:
         raise ValueError("node out of range")
     reach, _ = _reach_maps(phi, pg, i)
-    return frozenset(t for t, nodes in reach.items() if u in nodes)
+    return _traces_reaching(reach, u, i)
 
 
 @dataclass(frozen=True)
@@ -211,44 +212,30 @@ def check_tree_like(
     g = pg.graph
     if not is_marked(g, pg.focus, colour):
         return False, TreeLikeWitness(kind="not_marked")
-    md = modal_depth(phi)
-    if md == 0:
-        return True, None
-    reach, parent = _reach_maps(phi, pg, md)
-
-    def level_set(u: int, level: int) -> frozenset[tuple[Modality, ...]]:
-        return frozenset(
-            t for t, nodes in reach.items() if len(t) <= level and u in nodes
-        )
-
-    for i in range(1, md + 1):
-        for t in sorted(traces(phi, i)):
-            prefix = t[:-1]
-            if prefix not in reach:
-                continue
-            direction = _step_direction(t[-1])
-            for q in sorted(reach[prefix]):
-                successors = neigh(g, q, direction)
-                if successors and (q, q) not in g.edges:
-                    walk = _witness_walk(parent, prefix, q) + (successors[0],)
-                    return False, TreeLikeWitness(
-                        kind="missing_self_loop", trace=t, walk=walk
-                    )
-            if t not in reach:
-                continue
-            side = "in" if t[-1] is Modality.E_OUT else "out"
-            for w in sorted(reach[t]):
-                cands = neigh(g, w, side)
-                sets = [level_set(u, i - 1) for u in cands]
-                for a in range(len(cands)):
-                    for b in range(a + 1, len(cands)):
-                        if sets[a] == sets[b]:
-                            return False, TreeLikeWitness(
-                                kind="indistinct_pair",
-                                trace=t,
-                                walk=_witness_walk(parent, t, w),
-                                pair=(cands[a], cands[b]),
-                            )
+    reach, parent = _reach_maps(phi, pg, modal_depth(phi))
+    for t in traces(phi):
+        prefix = t[:-1]
+        direction = _step_direction(t[-1])
+        for q in sorted(reach[prefix]):
+            successors = neigh(g, q, direction)
+            if successors and (q, q) not in g.edges:
+                walk = _witness_walk(parent, prefix, q) + (successors[0],)
+                return False, TreeLikeWitness(
+                    kind="missing_self_loop", trace=t, walk=walk
+                )
+        side = "in" if t[-1] is Modality.E_OUT else "out"
+        for w in sorted(reach[t]):
+            cands = neigh(g, w, side)
+            sets = [_traces_reaching(reach, u, len(t) - 1) for u in cands]
+            for a in range(len(cands)):
+                for b in range(a + 1, len(cands)):
+                    if sets[a] == sets[b]:
+                        return False, TreeLikeWitness(
+                            kind="indistinct_pair",
+                            trace=t,
+                            walk=_witness_walk(parent, t, w),
+                            pair=(cands[a], cands[b]),
+                        )
     return True, None
 
 
@@ -428,14 +415,6 @@ def gen_regular_strongly_marked(
     return PointedGraph(g, focus)
 
 
-def _trace_family(phi: PmlFormula) -> list[tuple[Modality, ...]]:
-    md = modal_depth(phi)
-    fam: list[tuple[Modality, ...]] = []
-    for i in range(1, md + 1):
-        fam.extend(sorted(traces(phi, i)))
-    return fam
-
-
 def _single_node_member(rng: random.Random, colours: int) -> PointedGraph:
     """One marked, self-looped node: a member of every tree-like class."""
     g = Graph(
@@ -469,10 +448,9 @@ def _two_sided_tree(
     side keeps the requested branching only when the other side is absent
     (otherwise converging siblings would share trace sets).
     """
-    fam = _trace_family(phi)
+    fam = list(traces(phi))
     if any(len(set(t)) > 1 for t in fam):
         return None
-    md = modal_depth(phi)
     out_depth = max((len(t) for t in fam if t and t[0] is Modality.E_OUT), default=0)
     in_depth = max((len(t) for t in fam if t and t[0] is Modality.E_IN), default=0)
     b_out = branching if in_depth == 0 else 1

@@ -11,16 +11,27 @@ variables ``x_1..x_m``.
 
 Disjunction and the comparisons ``>=``, ``<``, ``=`` are surface sugar and
 are rewritten during parsing; the AST only contains ``!``, ``&`` and
-``<=``-atoms.  All AST types are immutable and hashable, so structural
-equality is the notion of formula identity used throughout.
+``<=``-atoms.
+
+AST nodes are immutable and interned (hash-consed) at construction, after
+Filliâtre and Conchon's "Type-Safe Modular Hash-Consing": building a node
+structurally equal to a live one returns that very object, so identity is
+equality, ``==`` is ``is`` and ``hash`` is a stored number.  Every node also
+stores the facts the compilers keep asking for: ``modal_depth``, ``degree``
+and ``max_prop`` on formulas, ``arity`` and ``degree`` on constraints.  The
+interning table holds its nodes weakly, so it keeps no formula alive.
+Hashing, comparing, listing subformulas and printing never recurse.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import re
+import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterator, Mapping, Union
 
 
@@ -51,37 +62,84 @@ _SURFACE_MODALITY = {v: k for k, v in _MODALITY_SURFACE.items()}
 
 
 # ---------------------------------------------------------------------------
-# Peano constraint AST
+# Interned AST nodes
 
 
-@dataclass(frozen=True)
-class Monomial:
+_INTERNED: "weakref.WeakValueDictionary[tuple, _Node]" = weakref.WeakValueDictionary()
+_TAGS = itertools.count(1)
+
+
+class _Node:
+    """An immutable, interned AST node.
+
+    ``__slots__`` of a subclass lists its fields (``_fields``), then its
+    stored facts.  The interning key is the class tag plus the fields;
+    children hash in O(1), and the key's hash, the same in every run, is
+    the node's hash.
+    """
+
+    __slots__ = ("_hash", "__weakref__")
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._tag = next(_TAGS)
+
+    @classmethod
+    def _intern(cls, fields: tuple, facts: tuple):
+        key = (cls._tag, *fields)
+        node = _INTERNED.get(key)
+        if node is None:
+            node = object.__new__(cls)
+            for name, value in zip(cls.__slots__, fields + facts):
+                object.__setattr__(node, name, value)
+            object.__setattr__(node, "_hash", hash(key))
+            _INTERNED[key] = node
+        return node
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __setattr__(self, *_: object) -> None:
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self._fields)
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({args})"
+
+
+# ---------------------------------------------------------------------------
+# Peano constraint AST; each node stores ``arity`` (largest variable index,
+# 0 for constant constraints) and ``degree`` (largest monomial degree).
+
+
+class Monomial(_Node):
     """``coeff * x_{v1} * x_{v2} * ...`` with a sorted variable multiset.
 
     ``variables`` is non-empty and sorted non-decreasing; purely constant
     contributions live in the atom's bound instead.
     """
 
-    coeff: int
-    variables: tuple[int, ...]
+    _fields = ("coeff", "variables")
+    __slots__ = _fields + ("degree",)
 
-    def __post_init__(self) -> None:
-        if self.coeff == 0:
+    def __new__(cls, coeff: int, variables: tuple[int, ...]) -> Monomial:
+        if coeff == 0:
             raise ValueError("zero-coefficient monomial")
-        if not self.variables:
+        if not variables:
             raise ValueError("constant monomial; fold constants into the bound")
-        if any(v < 1 for v in self.variables):
+        if any(v < 1 for v in variables):
             raise ValueError("variable indices are 1-based")
-        if tuple(sorted(self.variables)) != self.variables:
+        if tuple(sorted(variables)) != variables:
             raise ValueError("monomial variables must be sorted")
-
-    @property
-    def degree(self) -> int:
-        return len(self.variables)
+        return cls._intern((coeff, variables), (len(variables),))
 
 
-@dataclass(frozen=True)
-class PeanoAtom:
+class PeanoAtom(_Node):
     """Normalized atom ``sum(monomials) <= bound``.
 
     Monomials are merged (unique variable multisets) and sorted by
@@ -89,72 +147,106 @@ class PeanoAtom:
     ``0 <= bound``.
     """
 
-    monomials: tuple[Monomial, ...]
-    bound: int
+    _fields = ("monomials", "bound")
+    __slots__ = _fields + ("arity", "degree")
 
-    def __post_init__(self) -> None:
-        keys = [m.variables for m in self.monomials]
+    def __new__(cls, monomials: tuple[Monomial, ...], bound: int) -> PeanoAtom:
+        keys = [m.variables for m in monomials]
         if sorted(keys, key=lambda k: (len(k), k)) != keys:
             raise ValueError("atom monomials must be sorted by (degree, variables)")
         if len(set(keys)) != len(keys):
             raise ValueError("atom monomials must have distinct variable multisets")
+        arity = max((k[-1] for k in keys), default=0)
+        return cls._intern((monomials, bound), (arity, max(map(len, keys), default=0)))
 
 
-@dataclass(frozen=True)
-class PeanoNot:
-    operand: "PeanoFormula"
+class PeanoNot(_Node):
+    _fields = ("operand",)
+    __slots__ = _fields + ("arity", "degree")
+
+    def __new__(cls, operand: PeanoFormula) -> PeanoNot:
+        return cls._intern((operand,), (operand.arity, operand.degree))
 
 
-@dataclass(frozen=True)
-class PeanoAnd:
-    left: "PeanoFormula"
-    right: "PeanoFormula"
+class PeanoAnd(_Node):
+    _fields = ("left", "right")
+    __slots__ = _fields + ("arity", "degree")
+
+    def __new__(cls, left: PeanoFormula, right: PeanoFormula) -> PeanoAnd:
+        facts = max(left.arity, right.arity), max(left.degree, right.degree)
+        return cls._intern((left, right), facts)
 
 
 PeanoFormula = Union[PeanoAtom, PeanoNot, PeanoAnd]
 
 
 # ---------------------------------------------------------------------------
-# Modal formula AST
+# Modal formula AST; each node stores ``modal_depth``, ``degree`` (largest
+# monomial degree of its constraints, 0 if none) and ``max_prop`` (largest
+# proposition index).
+
+_FACTS = ("modal_depth", "degree", "max_prop")
 
 
-@dataclass(frozen=True)
-class Prop:
-    index: int
+class Prop(_Node):
+    _fields = ("index",)
+    __slots__ = _fields + _FACTS
 
-    def __post_init__(self) -> None:
-        if self.index < 0:
+    def __new__(cls, index: int) -> Prop:
+        if index < 0:
             raise ValueError("proposition indices are 0-based and non-negative")
+        return cls._intern((index,), (0, 0, index))
 
 
-@dataclass(frozen=True)
-class Not:
-    operand: "PmlFormula"
+class Not(_Node):
+    _fields = ("operand",)
+    __slots__ = _fields + _FACTS
+
+    def __new__(cls, operand: PmlFormula) -> Not:
+        facts = operand.modal_depth, operand.degree, operand.max_prop
+        return cls._intern((operand,), facts)
 
 
-@dataclass(frozen=True)
-class And:
-    left: "PmlFormula"
-    right: "PmlFormula"
+class And(_Node):
+    _fields = ("left", "right")
+    __slots__ = _fields + _FACTS
+
+    def __new__(cls, left: PmlFormula, right: PmlFormula) -> And:
+        facts = (
+            max(left.modal_depth, right.modal_depth),
+            max(left.degree, right.degree),
+            max(left.max_prop, right.max_prop),
+        )
+        return cls._intern((left, right), facts)
 
 
-@dataclass(frozen=True)
-class Modal:
-    modalities: tuple[Modality, ...]
-    constraint: PeanoFormula
-    children: tuple["PmlFormula", ...]
+class Modal(_Node):
+    _fields = ("modalities", "constraint", "children")
+    __slots__ = _fields + _FACTS
 
-    def __post_init__(self) -> None:
-        if not self.modalities:
+    def __new__(
+        cls,
+        modalities: tuple[Modality, ...],
+        constraint: PeanoFormula,
+        children: tuple[PmlFormula, ...],
+    ) -> Modal:
+        # Coerced, so a raw int and its Modality cannot intern two ways.
+        modalities, children = tuple(map(Modality, modalities)), tuple(children)
+        if not modalities:
             raise ValueError("modal node needs at least one position")
-        if len(self.modalities) != len(self.children):
+        if len(modalities) != len(children):
             raise ValueError("modality/child count mismatch")
-        m = peano_arity(self.constraint)
-        if m > len(self.modalities):
+        if constraint.arity > len(modalities):
             raise ValueError(
-                f"constraint uses x{m} but the modal node has only "
-                f"{len(self.modalities)} positions"
+                f"constraint uses x{constraint.arity} but the modal node has only "
+                f"{len(modalities)} positions"
             )
+        facts = (
+            1 + max(c.modal_depth for c in children),
+            max(constraint.degree, *(c.degree for c in children)),
+            max(c.max_prop for c in children),
+        )
+        return cls._intern((modalities, constraint, children), facts)
 
 
 PmlFormula = Union[Prop, Not, And, Modal]
@@ -162,32 +254,16 @@ PmlFormula = Union[Prop, Not, And, Modal]
 
 def peano_arity(psi: PeanoFormula) -> int:
     """Largest variable index used in ``psi`` (0 for constant constraints)."""
-    if isinstance(psi, PeanoAtom):
-        return max((m.variables[-1] for m in psi.monomials), default=0)
-    if isinstance(psi, PeanoNot):
-        return peano_arity(psi.operand)
-    return max(peano_arity(psi.left), peano_arity(psi.right))
+    return psi.arity
+
+
+def peano_degree(psi: PeanoFormula) -> int:
+    """Maximum monomial degree of ``psi`` (0 for constant constraints)."""
+    return psi.degree
 
 
 # ---------------------------------------------------------------------------
 # Normalization
-
-
-def normalize_peano(psi: PeanoFormula) -> PeanoFormula:
-    """Canonicalize every atom of ``psi`` (merge + sort monomials).
-
-    Idempotent; parsing already yields normalized constraints, so this is
-    mostly useful for programmatically constructed formulas.
-    """
-    if isinstance(psi, PeanoAtom):
-        poly: dict[tuple[int, ...], int] = {}
-        for m in psi.monomials:
-            key = tuple(sorted(m.variables))
-            poly[key] = poly.get(key, 0) + m.coeff
-        return _atom_from_poly(poly, psi.bound)
-    if isinstance(psi, PeanoNot):
-        return PeanoNot(normalize_peano(psi.operand))
-    return PeanoAnd(normalize_peano(psi.left), normalize_peano(psi.right))
 
 
 def _atom_from_poly(poly: Mapping[tuple[int, ...], int], bound: int) -> PeanoAtom:
@@ -254,9 +330,10 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 # Deepest nesting of negations, parentheses, modal nodes and unary minus
-# that the parser accepts.  The parser and the recursive functions over
-# formulas use a few interpreter frames per level, so deeper input would
-# overflow the interpreter's stack.
+# that the parser accepts.  The parser, the oracle and the compilers'
+# formula walks recurse a few interpreter frames per level, so deeper
+# input would overflow the interpreter's stack.  The formula core itself
+# (interning, hashing, subformula listing, printing) does not recurse.
 MAX_NESTING = 256
 
 
@@ -479,15 +556,19 @@ def parse_peano(text: str) -> PeanoFormula:
 
 
 def print_formula(phi: PmlFormula) -> str:
-    if isinstance(phi, Prop):
-        return f"p{phi.index}"
-    if isinstance(phi, Not):
-        return f"!{print_formula(phi.operand)}"
-    if isinstance(phi, And):
-        return f"({print_formula(phi.left)} & {print_formula(phi.right)})"
-    mods = ",".join(m.surface for m in phi.modalities)
-    children = ",".join(print_formula(c) for c in phi.children)
-    return f"<{mods}>{{{print_peano(phi.constraint)}}}({children})"
+    text: dict[PmlFormula, str] = {}
+    for s in _postorder(phi):
+        if isinstance(s, Prop):
+            text[s] = f"p{s.index}"
+        elif isinstance(s, Not):
+            text[s] = f"!{text[s.operand]}"
+        elif isinstance(s, And):
+            text[s] = f"({text[s.left]} & {text[s.right]})"
+        else:
+            mods = ",".join(m.surface for m in s.modalities)
+            children = ",".join(text[c] for c in s.children)
+            text[s] = f"<{mods}>{{{print_peano(s.constraint)}}}({children})"
+    return text[phi]
 
 
 def print_peano(psi: PeanoFormula) -> str:
@@ -499,22 +580,13 @@ def print_peano(psi: PeanoFormula) -> str:
 
 
 def _print_polynomial(monomials: tuple[Monomial, ...]) -> str:
-    if not monomials:
-        return "0"
     # Positive monomials first so the strict grammar (no unary minus) suffices.
-    positive = [m for m in monomials if m.coeff > 0]
-    negative = [m for m in monomials if m.coeff < 0]
-    parts = []
-    for m in positive:
-        parts.append(("+", _print_monomial(m.coeff, m.variables)))
-    for m in negative:
-        parts.append(("-", _print_monomial(-m.coeff, m.variables)))
-    if not positive:
-        head = "0"
-    else:
-        head = parts[0][1]
-        parts = parts[1:]
-    return head + "".join(f" {sign} {body}" for sign, body in parts)
+    ordered = sorted(monomials, key=lambda m: m.coeff < 0)
+    text = "" if ordered and ordered[0].coeff > 0 else "0"
+    for m in ordered:
+        body = _print_monomial(abs(m.coeff), m.variables)
+        text = f"{text} {'+' if m.coeff > 0 else '-'} {body}" if text else body
+    return text
 
 
 def _print_monomial(coeff: int, variables: tuple[int, ...]) -> str:
@@ -530,52 +602,46 @@ def _print_monomial(coeff: int, variables: tuple[int, ...]) -> str:
 
 def modal_depth(phi: PmlFormula) -> int:
     """Maximum nesting depth of modal nodes."""
-    if isinstance(phi, Prop):
-        return 0
-    if isinstance(phi, Not):
-        return modal_depth(phi.operand)
-    if isinstance(phi, And):
-        return max(modal_depth(phi.left), modal_depth(phi.right))
-    return 1 + max((modal_depth(c) for c in phi.children), default=0)
+    return phi.modal_depth
 
 
 def degree(phi: PmlFormula) -> int:
     """Maximum monomial degree over all constraints of ``phi`` (0 if none)."""
-    if isinstance(phi, Prop):
-        return 0
-    if isinstance(phi, Not):
-        return degree(phi.operand)
-    if isinstance(phi, And):
-        return max(degree(phi.left), degree(phi.right))
-    return max(
-        peano_degree(phi.constraint),
-        max((degree(c) for c in phi.children), default=0),
-    )
-
-
-def peano_degree(psi: PeanoFormula) -> int:
-    if isinstance(psi, PeanoAtom):
-        return max((m.degree for m in psi.monomials), default=0)
-    if isinstance(psi, PeanoNot):
-        return peano_degree(psi.operand)
-    return max(peano_degree(psi.left), peano_degree(psi.right))
+    return phi.degree
 
 
 def max_prop(phi: PmlFormula) -> int:
     """Largest proposition index occurring in ``phi``."""
-    return max(s.index for s in subformulas_ordered(phi) if isinstance(s, Prop))
+    return phi.max_prop
 
 
-def _postorder(phi: PmlFormula) -> Iterator[PmlFormula]:
+def _operands(phi: PmlFormula) -> tuple[PmlFormula, ...]:
     if isinstance(phi, Not):
-        yield from _postorder(phi.operand)
-    elif isinstance(phi, And):
-        yield from _postorder(phi.left)
-        yield from _postorder(phi.right)
-    elif isinstance(phi, Modal):
-        for c in phi.children:
-            yield from _postorder(c)
-    yield phi
+        return (phi.operand,)
+    if isinstance(phi, And):
+        return (phi.left, phi.right)
+    if isinstance(phi, Modal):
+        return phi.children
+    return ()
+
+
+def _postorder(phi: PmlFormula) -> list[PmlFormula]:
+    """Distinct subformulas in the order a left-to-right depth-first walk
+    finishes them (every operand before its parent), without recursion."""
+    order: list[PmlFormula] = []
+    done: set[PmlFormula] = set()
+    stack: list[tuple[PmlFormula, bool]] = [(phi, False)]
+    while stack:
+        s, finished = stack.pop()
+        if s in done:
+            continue
+        if finished:
+            done.add(s)
+            order.append(s)
+        else:
+            stack.append((s, True))
+            stack.extend((c, False) for c in reversed(_operands(s)) if c not in done)
+    return order
 
 
 def subformulas_ordered(phi: PmlFormula) -> tuple[PmlFormula, ...]:
@@ -584,68 +650,56 @@ def subformulas_ordered(phi: PmlFormula) -> tuple[PmlFormula, ...]:
     Guarantees: every subformula of an entry appears earlier; all entries of
     modal depth 0 precede all others; ``phi`` itself is the final entry.
     """
-    seen: set[PmlFormula] = set()
-    order: list[PmlFormula] = []
-    for s in _postorder(phi):
-        if s not in seen:
-            seen.add(s)
-            order.append(s)
-    flat = [s for s in order if modal_depth(s) == 0]
-    deep = [s for s in order if modal_depth(s) > 0]
-    return tuple(flat + deep)
+    order = _postorder(phi)
+    flat = [s for s in order if s.modal_depth == 0]
+    return tuple(flat + [s for s in order if s.modal_depth > 0])
 
 
 # ---------------------------------------------------------------------------
 # Traces
 
 
-def _modal_subformulas_at(phi: PmlFormula, depth: int) -> list[Modal]:
-    out = []
-    for s in subformulas_ordered(phi):
-        if isinstance(s, Modal) and modal_depth(s) == depth:
-            out.append(s)
-    return out
+def _modal_at(phi: PmlFormula, depth: int) -> list[Modal]:
+    return [s for s in _postorder(phi) if isinstance(s, Modal) and s.modal_depth == depth]
 
 
-def traces(phi: PmlFormula, k: int) -> frozenset[tuple[Modality, ...]]:
-    """Length-k edge-modality chains realized by depth-critical nesting.
+def traces(phi: PmlFormula) -> Iterator[tuple[Modality, ...]]:
+    """Every trace of ``phi``, lazily, in (length, lexicographic) order.
 
-    A chain ``E_0..E_{k-1}`` qualifies if there are subformulas
-    ``chi_0, .., chi_k`` of ``phi`` such that each ``chi_i`` (i < k) is a
-    modal node of modal depth ``modal_depth(phi) - i``, ``chi_{i+1}`` is a
-    subformula of its j-th child, and ``E_i`` is its j-th modality — with
-    every ``E_i`` an edge modality (``in``/``out``).  Chains through ``id``
-    or ``top`` positions do not qualify.
+    A chain ``E_0..E_{k-1}`` (``1 <= k <= modal_depth(phi)``) is a trace if
+    there are subformulas ``chi_0, .., chi_k`` of ``phi`` such that each
+    ``chi_i`` (i < k) is a modal node of modal depth ``modal_depth(phi) - i``,
+    ``chi_{i+1}`` is a subformula of its j-th child, and ``E_i`` is its j-th
+    modality — with every ``E_i`` an edge modality (``in``/``out``).  Chains
+    through ``id`` or ``top`` positions do not qualify.
+
+    One length at a time, each trace keeps the modal nodes that may extend
+    it, so a caller that stops early never pays for longer traces.
     """
-    m = modal_depth(phi)
-    if not 1 <= k <= m:
-        raise ValueError(f"trace length must be in 1..{m}, got {k}")
-    out: set[tuple[Modality, ...]] = set()
-
-    def step(cands: list[Modal], left: int, prefix: tuple[Modality, ...]) -> None:
-        for chi in cands:
-            for pi, child in zip(chi.modalities, chi.children):
-                if pi not in (Modality.E_IN, Modality.E_OUT):
-                    continue
-                if left == 1:
-                    out.add(prefix + (pi,))
-                else:
-                    nxt = _modal_subformulas_at(child, modal_depth(chi) - 1)
-                    if nxt:
-                        step(nxt, left - 1, prefix + (pi,))
-
-    step(_modal_subformulas_at(phi, m), k, ())
-    return frozenset(out)
+    depth = phi.modal_depth
+    level: dict[tuple[Modality, ...], list[Modal]] = {(): _modal_at(phi, depth)}
+    while depth > 0:
+        depth -= 1
+        longer: dict[tuple[Modality, ...], list[Modal]] = {}
+        for t, chis in level.items():
+            for e in (Modality.E_IN, Modality.E_OUT):
+                kids = dict.fromkeys(
+                    c for chi in chis for pi, c in zip(chi.modalities, chi.children) if pi is e
+                )
+                if kids:
+                    yield t + (e,)
+                    longer[t + (e,)] = list(
+                        dict.fromkeys(chi for c in kids for chi in _modal_at(c, depth))
+                    )
+        level = longer
 
 
-def trace_index(phi: PmlFormula) -> tuple[tuple[Modality, ...], ...]:
-    """The empty trace plus all traces up to length ``modal_depth(phi) - 1``,
-    in a deterministic (length, lexicographic) order."""
-    m = modal_depth(phi)
-    idx: list[tuple[Modality, ...]] = [()]
-    for k in range(1, m):
-        idx.extend(sorted(traces(phi, k)))
-    return tuple(idx)
+def trace_index(phi: PmlFormula) -> Iterator[tuple[Modality, ...]]:
+    """The nested compilation's trace classes, lazily: the empty trace, then
+    every trace shorter than ``modal_depth(phi)``, in (length,
+    lexicographic) order."""
+    yield ()
+    yield from itertools.takewhile(lambda t: len(t) < phi.modal_depth, traces(phi))
 
 
 # ---------------------------------------------------------------------------
@@ -692,6 +746,15 @@ def classify(phi: PmlFormula) -> FragmentTags:
 TOP_FORMULA: PmlFormula = Not(And(Not(Prop(0)), Not(Not(Prop(0)))))  # p0 | !p0
 BOT_FORMULA: PmlFormula = And(Prop(0), Not(Prop(0)))  # p0 & !p0
 
+# Most strict modal subformulas flatten_global guesses truth values for: it
+# builds one disjunct per subset of them, 2^6 = 64 at this bound.
+MAX_FLATTEN_MODALS = 6
+
+
+class FlattenLimitExceeded(ValueError):
+    """flatten_global would guess more than MAX_FLATTEN_MODALS strict modal
+    subformulas."""
+
 
 def _substitute_modal(phi: PmlFormula, true_set: frozenset[PmlFormula]) -> PmlFormula:
     """Replace every maximal modal subformula by top/bottom per ``true_set``."""
@@ -718,18 +781,8 @@ def _guess(phi: PmlFormula, true_set: frozenset[PmlFormula]) -> PmlFormula:
     return _substitute_modal(phi, true_set)
 
 
-def _fold_and(parts: list[PmlFormula]) -> PmlFormula:
-    acc = parts[0]
-    for p in parts[1:]:
-        acc = And(acc, p)
-    return acc
-
-
-def _fold_or(parts: list[PmlFormula]) -> PmlFormula:
-    acc = parts[0]
-    for p in parts[1:]:
-        acc = Not(And(Not(acc), Not(p)))
-    return acc
+def _or(a: PmlFormula, b: PmlFormula) -> PmlFormula:
+    return Not(And(Not(a), Not(b)))
 
 
 def flatten_global(phi: PmlFormula) -> PmlFormula:
@@ -741,14 +794,21 @@ def flatten_global(phi: PmlFormula) -> PmlFormula:
     the disjunction over T ⊆ S of ``phi^T & AND(tau^T for tau in T) &
     AND(!sigma^T for sigma not in T)`` where ``gamma^T`` replaces maximal
     strict modal subformulas by fixed top/bottom formulas.  Formulas of
-    modal depth <= 1 are returned unchanged.
+    modal depth <= 1 are returned unchanged; more than
+    ``MAX_FLATTEN_MODALS`` strict modal subformulas raise
+    FlattenLimitExceeded before any disjunct is built.
     """
     tags = classify(phi)
     if not tags.only_top:
         raise ValueError("flatten_global requires a formula with only top modalities")
     if tags.max_modal_depth <= 1:
         return phi
-    strict = tuple(n for n in _modal_nodes(phi) if n != phi)
+    strict = tuple(n for n in _modal_nodes(phi) if n is not phi)
+    if len(strict) > MAX_FLATTEN_MODALS:
+        raise FlattenLimitExceeded(
+            f"flattening guesses {len(strict)} nested modal subformulas "
+            f"(2^{len(strict)} disjuncts), limit is {MAX_FLATTEN_MODALS}"
+        )
     disjuncts: list[PmlFormula] = []
     for mask in range(1 << len(strict)):
         true_set = frozenset(s for i, s in enumerate(strict) if mask >> i & 1)
@@ -759,55 +819,5 @@ def flatten_global(phi: PmlFormula) -> PmlFormula:
         for i, sigma in enumerate(strict):
             if not mask >> i & 1:
                 parts.append(Not(_guess(sigma, true_set)))
-        disjuncts.append(_fold_and(parts))
-    return _fold_or(disjuncts)
-
-
-# ---------------------------------------------------------------------------
-# Constant folding
-
-
-def _fold_peano(psi: PeanoFormula) -> PeanoFormula | bool:
-    """Evaluate constant atoms; returns a bool when psi is constant."""
-    if isinstance(psi, PeanoAtom):
-        if not psi.monomials:
-            return 0 <= psi.bound
-        return psi
-    if isinstance(psi, PeanoNot):
-        inner = _fold_peano(psi.operand)
-        if isinstance(inner, bool):
-            return not inner
-        return PeanoNot(inner)
-    left = _fold_peano(psi.left)
-    right = _fold_peano(psi.right)
-    if left is False or right is False:
-        # A constant-false conjunct forces the whole conjunction, even if
-        # the other side still mentions variables.
-        return False
-    if left is True:
-        return right
-    if right is True:
-        return left
-    return PeanoAnd(left, right)
-
-
-def fold_constants(phi: PmlFormula) -> PmlFormula:
-    """Equivalent formula with no constant atoms and no constant constraints.
-
-    Modal nodes whose constraint folds to a constant are replaced by the
-    fixed top/bottom formulas (their counts always exist, so a constant
-    constraint decides the node outright).  The Boolean skeleton is kept
-    as written.
-    """
-    if isinstance(phi, Prop):
-        return phi
-    if isinstance(phi, Not):
-        return Not(fold_constants(phi.operand))
-    if isinstance(phi, And):
-        return And(fold_constants(phi.left), fold_constants(phi.right))
-    psi = _fold_peano(phi.constraint)
-    if psi is True:
-        return TOP_FORMULA
-    if psi is False:
-        return BOT_FORMULA
-    return Modal(phi.modalities, psi, tuple(fold_constants(c) for c in phi.children))
+        disjuncts.append(reduce(And, parts))
+    return reduce(_or, disjuncts)

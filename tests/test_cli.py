@@ -1,5 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
+import time
+
 import pytest
 
 from pmlc.cli import main
@@ -13,7 +15,7 @@ from pmlc.graphs import (
     parse_graph,
     print_graph,
 )
-from pmlc.logic import MAX_NESTING
+from pmlc.logic import MAX_FLATTEN_MODALS, MAX_NESTING
 from pmlc.mpnn import parse_mpnn
 from pmlc.net import rat
 
@@ -144,6 +146,34 @@ def test_compile_trace_cap_exits_3(tmp_path):
     )
     assert main(["compile", f, "--target", "nested-mixed-sum",
                  "--trace-cap", "2"]) == 3
+
+
+def chain(modality, depth):
+    return f"<{modality}>{{x1 >= 1}}(" * depth + "p0" + ")" * depth
+
+
+def test_compile_deep_in_chain_stops_at_the_trace_cap(tmp_path, capsys):
+    # The trace enumeration stops once it passes the cap, so the exit comes
+    # at once; the time bound is loose enough for a loaded machine.
+    f = write(tmp_path, "in80.pml", chain("in", 80))
+    start = time.perf_counter()
+    assert main(["compile", f, "--target", "nested-mixed-sum"]) == 3
+    assert time.perf_counter() - start < 10
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "trace dimensions" in err
+    assert "Traceback" not in err
+
+
+def test_global_deep_flattening_bound(tmp_path, capsys):
+    at_bound = write(tmp_path, "top7.pml", chain("top", MAX_FLATTEN_MODALS + 1))
+    assert main(["compile", at_bound, "--target", "global-deep"]) == 0
+    capsys.readouterr()
+    past = write(tmp_path, "top8.pml", chain("top", MAX_FLATTEN_MODALS + 2))
+    assert main(["compile", past, "--target", "global-deep"]) == 3
+    assert main(["verify", past, "--target", "global-deep", "--seeds", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "flattening" in err
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from pmlc.compiler import (
     TraceLimitExceeded,
     build_global_deep,
     build_global_shallow,
-    certainty_of,
     compile,
     format_report,
     parse_target,
@@ -501,7 +500,7 @@ def test_accepting_value_equals_certainty():
             v = judge(net, inst)
             if v.accepted:
                 n = inst.graph.node_count
-                assert v.value == certainty_of(rep).value(n) == rat(1, n**rep.exponent)
+                assert v.value == net.certainty.value(n) == rat(1, n**rep.exponent)
                 accepts += 1
     assert accepts >= 5
 

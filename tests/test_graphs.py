@@ -66,7 +66,6 @@ def test_neigh_isolated_node():
     g = graph_of(1, 1, set())
     assert neigh(g, 0, "in") == ()
     assert neigh(g, 0, "out") == ()
-    assert neigh(g, 0, "both") == ()
 
 
 def test_neigh_single_edge():
@@ -80,7 +79,6 @@ def test_neigh_self_loop_counts_both_ways():
     g = graph_of(1, 1, {(0, 0)})
     assert neigh(g, 0, "in") == (0,)
     assert neigh(g, 0, "out") == (0,)
-    assert neigh(g, 0, "both") == (0,)
 
 
 def test_neigh_does_not_keep_graphs_alive():

@@ -1,5 +1,7 @@
 """Parser, printer, normalization, metrics, traces, and fragment tags."""
 
+from itertools import islice
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,10 +21,8 @@ from pmlc.logic import (
     classify,
     degree,
     flatten_global,
-    fold_constants,
     max_prop,
     modal_depth,
-    normalize_peano,
     parse_formula,
     parse_peano,
     peano_arity,
@@ -124,16 +124,6 @@ def test_parse_constant_comparisons():
     assert parse_peano("0 <= 0") == PeanoAtom((), 0)
 
 
-def test_normalize_peano_idempotent_and_canonicalizing():
-    raw = PeanoAtom((Monomial(1, (2,)),), 1)
-    assert normalize_peano(raw) == raw
-    # Programmatic construction may bypass merging; PeanoAtom itself rejects
-    # unsorted input, so normalization is exercised via parse products.
-    assert normalize_peano(parse_peano("x1 + x1 <= 2")) == PeanoAtom(
-        (Monomial(2, (1,)),), 2
-    )
-
-
 @pytest.mark.parametrize(
     "text",
     [
@@ -211,6 +201,34 @@ def test_max_prop():
     assert max_prop(parse_formula(EX_MIXED)) == 3
 
 
+def test_deep_formulas_need_no_recursion():
+    # Built through the constructors, far past the parser's nesting bound:
+    # hashing, comparing, listing, measuring and printing must not recurse.
+    chains = []
+    for _ in range(2):
+        phi = Prop(2)
+        for _ in range(5000):
+            phi = Not(phi)
+        chains.append(phi)
+    phi, twin = chains
+    assert twin is phi and twin == phi and hash(twin) == hash(phi)
+    assert phi != Not(phi) and phi in {twin}
+    order = subformulas_ordered(phi)
+    assert len(order) == 5001 and order[0] is Prop(2) and order[-1] is phi
+    assert modal_depth(phi) == 0 and max_prop(phi) == 2
+    wrapped = Modal((Modality.TOP,), parse_peano("x1 >= 1"), (phi,))
+    assert modal_depth(wrapped) == 1 and degree(wrapped) == 1
+    assert print_formula(wrapped) == "<top>{!x1 <= 0}(" + "!" * 5000 + "p2)"
+    # Interning: equal formulas are one object, however they were built.
+    assert parse_formula(EX_MIXED) is parse_formula(EX_MIXED)
+    assert parse_peano("x1*x2 <= 3") is parse_peano("x2*x1 <= 3")
+    assert Modal([Modality.E_IN], PeanoAtom((), 0), [Prop(0)]) is parse_formula(
+        "<in>{0 <= 0}(p0)"
+    )
+    with pytest.raises(AttributeError):
+        Prop(0).index = 1
+
+
 # ---------------------------------------------------------------------------
 # Subformula order
 
@@ -245,22 +263,24 @@ def test_subformulas_ordered_deduplicates():
 # Traces
 
 
+IN, OUT = Modality.E_IN, Modality.E_OUT
+
+
 def test_traces_single_layer():
     phi = parse_formula(EX_EDGE)
-    assert traces(phi, 1) == frozenset({(Modality.E_IN,), (Modality.E_OUT,)})
+    assert tuple(traces(phi)) == ((IN,), (OUT,))
 
 
 def test_traces_skip_non_edge_positions():
     phi = parse_formula(EX_MIXED)
-    assert traces(phi, 1) == frozenset({(Modality.E_IN,)})
+    assert tuple(traces(phi)) == ((IN,),)
     phi = parse_formula(EX_CUBIC)
-    assert traces(phi, 1) == frozenset()
+    assert tuple(traces(phi)) == ()
 
 
 def test_traces_nested():
     phi = parse_formula(EX_NESTED)
-    assert traces(phi, 1) == frozenset({(Modality.E_OUT,)})
-    assert traces(phi, 2) == frozenset({(Modality.E_OUT, Modality.E_OUT)})
+    assert tuple(traces(phi)) == ((OUT,), (OUT, OUT))
 
 
 def test_traces_require_critical_depth():
@@ -268,32 +288,38 @@ def test_traces_require_critical_depth():
     # only depth-critical one, and non-critical nesting adds no traces.
     phi = parse_formula("(<in>{x1 >= 1}(p0) & <out>{x1 >= 1}(<out>{x1 >= 1}(p0)))")
     assert modal_depth(phi) == 2
-    assert traces(phi, 1) == frozenset({(Modality.E_OUT,)})
-    assert traces(phi, 2) == frozenset({(Modality.E_OUT, Modality.E_OUT)})
+    assert tuple(traces(phi)) == ((OUT,), (OUT, OUT))
 
 
 def test_traces_prefix_closed():
     phi = parse_formula(
         "<in>{x1 >= 1}(<out>{x1 >= 1}(<in>{x1 >= 1}(p0)))"
     )
-    t3 = traces(phi, 3)
-    assert t3 == frozenset({(Modality.E_IN, Modality.E_OUT, Modality.E_IN)})
-    for t in t3:
-        assert t[:2] in traces(phi, 2)
-        assert t[:1] in traces(phi, 1)
+    assert tuple(traces(phi)) == ((IN,), (IN, OUT), (IN, OUT, IN))
 
 
-def test_traces_rejects_bad_length():
-    phi = parse_formula(EX_NESTED)
-    with pytest.raises(ValueError):
-        traces(phi, 0)
-    with pytest.raises(ValueError):
-        traces(phi, 3)
+def test_traces_come_in_length_then_lexicographic_order():
+    phi = parse_formula(
+        "<out,in>{x1 + x2 >= 1}(<in,out>{x1 - x2 >= 0}(p0,p1),<out>{x1 >= 1}(p1))"
+    )
+    assert tuple(traces(phi)) == (
+        (IN,), (OUT,), (IN, OUT), (OUT, IN), (OUT, OUT)
+    )
 
 
 def test_trace_index_order():
     phi = parse_formula(EX_NESTED)
-    assert trace_index(phi) == ((), (Modality.E_OUT,))
+    assert tuple(trace_index(phi)) == ((), (OUT,))
+
+
+def test_trace_enumeration_is_lazy():
+    # 2^k traces of each length k up to 40: only a lazy enumeration starts.
+    phi = Prop(0)
+    for _ in range(40):
+        phi = Modal((IN, OUT), parse_peano("x1 + x2 >= 1"), (phi, phi))
+    assert tuple(islice(trace_index(phi), 5)) == (
+        (), (IN,), (OUT,), (IN, IN), (IN, OUT)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -361,18 +387,6 @@ def test_flatten_global_structure():
         )
     )
     assert flat == expected
-
-
-def test_fold_constants():
-    assert fold_constants(parse_formula("<in>{0 <= 1}(p0)")) == TOP_FORMULA
-    assert fold_constants(parse_formula("<in>{1 <= 0}(p0)")) == BOT_FORMULA
-    phi = parse_formula("<in>{(x1 <= 2 & 0 <= 5)}(p0)")
-    assert fold_constants(phi) == parse_formula("<in>{x1 <= 2}(p0)")
-    # Constant-false conjunct wins even next to a variable atom.
-    phi = parse_formula("<in>{(x1 <= 2 & 1 <= 0)}(p0)")
-    assert fold_constants(phi) == BOT_FORMULA
-    phi = parse_formula("(p0 & p1)")
-    assert fold_constants(phi) == phi
 
 
 # ---------------------------------------------------------------------------
