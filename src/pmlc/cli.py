@@ -86,22 +86,12 @@ def _read_pointed(path: str) -> PointedGraph:
     return g
 
 
-def _fragment_line(phi) -> str:
-    tags = classify(phi)
-    return (
-        "fragment"
-        f" top-only={1 if tags.only_top else 0}"
-        f" edges-only={1 if tags.only_edges else 0}"
-        f" homogeneous={1 if tags.homogeneous else 0}"
-    )
-
-
 def cmd_parse(args: argparse.Namespace) -> int:
     phi = _read_formula(args.formula)
     print(f"formula {print_formula(phi)}")
     print(f"modal-depth {modal_depth(phi)}")
     print(f"degree {degree(phi)}")
-    print(_fragment_line(phi))
+    print(classify(phi).line())
     return 0
 
 

@@ -2,13 +2,17 @@
 
 Each compilation target pairs a formula fragment with the graph class it
 is guaranteed on and the aggregators the network may use.  One table,
-``TARGET_KINDS``, holds each target kind's builder, extra-aggregator rule
-and layer budget.  ``compile`` runs the kind's builder, checks the layer
-budget (a raise, so the check also runs under ``python -O``), and wraps
-the result in a report (layer count, certainty exponent, class tag,
-fragment tags, dimension map) suitable for printing next to the network.
+``TARGET_KINDS``, holds per target kind the builder, extra-aggregator
+rule, layer budget, fragment and graph class.  ``compile``, the one entry
+point, classifies the formula once and raises FragmentMismatch outside the
+row's fragment.  It compiles modal-free formulas to one Boolean layer
+itself (class ``any`` for global-homogeneous, ``marked`` otherwise) and
+hands the rest to the row's builder.  It then checks the layer budget (a
+raise, so the check also runs under ``python -O``) and wraps the result in
+a report (layer count, certainty exponent, class tag, fragment tags,
+dimension map) suitable for printing next to the network.
 
-Targets:
+Targets, as ``TARGET_KINDS`` defines them:
 
 ========================  =======================  ========================
 name                      formula fragment          judged graph class
@@ -32,6 +36,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from ..logic import (
+    FRAGMENT_FLAGS,
     FragmentTags,
     PmlFormula,
     classify,
@@ -42,12 +47,11 @@ from ..logic import (
     trace_index,
 )
 from ..mpnn import Aggregator, Mpnn
-from .build import FragmentMismatch, TraceLimitExceeded
+from .build import FragmentMismatch, TraceLimitExceeded, degenerate_boolean
 from .nested import build_nested
 from .shallow import (
-    build_global_deep,
+    build_global,
     build_global_homogeneous,
-    build_global_shallow,
     build_local_mean,
     build_local_mixed,
     build_shallow_mixed,
@@ -62,13 +66,6 @@ __all__ = [
     "TARGET_KINDS",
     "TargetKind",
     "TraceLimitExceeded",
-    "build_global_deep",
-    "build_global_homogeneous",
-    "build_global_shallow",
-    "build_local_mean",
-    "build_local_mixed",
-    "build_nested",
-    "build_shallow_mixed",
     "compile",
     "format_report",
     "parse_target",
@@ -81,44 +78,64 @@ _EXTRA_NAME = {Aggregator.SUM: "sum", Aggregator.MAX: "max"}
 class TargetKind:
     """One row of the target table.
 
-    ``build(phi, extra, trace_cap)`` compiles; ``mixed`` kinds take an
+    ``build(phi, extra, klass, trace_cap)`` compiles a formula that has a
+    modal node and lies in the row's fragment; ``mixed`` kinds take an
     extra aggregator (sum or max), the others are mean-only.  The layer
     budget is ``(budget_kind, a, b)``: ``a*deg + b`` layers, or for the
     nested kinds ``a*md*max(deg, 1) + b`` (the floor covers
     constraint-free formulas, whose pipelines still need their setup and
     check layers); ``exact`` kinds must meet it, ``ceiling`` kinds stay
-    within it.
+    within it.  The fragment is ``needs``, the ``FragmentTags`` flags the
+    formula must carry (``only_top`` or ``only_edges`` names the modality
+    family), and ``shallow``, whether modal depth is capped at 1.
+    ``required_class`` is the graph class the network is sound on.
     """
 
-    build: Callable[[PmlFormula, Optional[Aggregator], int], Mpnn]
+    build: Callable[[PmlFormula, Optional[Aggregator], str, int], Mpnn]
     mixed: bool
     budget: Tuple[str, int, int]
+    needs: Tuple[str, ...]
+    shallow: bool
+    required_class: str
 
 
 TARGET_KINDS: Dict[str, TargetKind] = {
     "global-homogeneous": TargetKind(
-        lambda phi, extra, cap: build_global_homogeneous(phi), False, ("exact", 1, 1)
+        lambda phi, extra, klass, cap: build_global_homogeneous(phi, klass),
+        False, ("exact", 1, 1), ("only_top", "homogeneous"), True, "any",
     ),
     "global-shallow": TargetKind(
-        lambda phi, extra, cap: build_global_shallow(phi), False, ("ceiling", 2, 2)
+        lambda phi, extra, klass, cap: build_global(phi, klass),
+        False, ("ceiling", 2, 2), ("only_top",), True, "marked",
     ),
     "global-deep": TargetKind(
-        lambda phi, extra, cap: build_global_deep(phi), False, ("ceiling", 2, 2)
+        lambda phi, extra, klass, cap: build_global(phi, klass),
+        False, ("ceiling", 2, 2), ("only_top",), False, "marked",
     ),
     "local-mean-regular": TargetKind(
-        lambda phi, extra, cap: build_local_mean(phi), False, ("ceiling", 2, 2)
+        lambda phi, extra, klass, cap: build_local_mean(phi, klass),
+        False, ("ceiling", 2, 2), ("only_edges",), True, "regular-strong",
     ),
     "local-mixed": TargetKind(
-        lambda phi, extra, cap: build_local_mixed(phi, extra), True, ("ceiling", 4, 2)
+        lambda phi, extra, klass, cap: build_local_mixed(phi, extra, klass),
+        True, ("ceiling", 4, 2), ("only_edges",), True, "strong",
     ),
     "shallow-mixed-regular": TargetKind(
-        lambda phi, extra, cap: build_shallow_mixed(phi, extra), False, ("ceiling", 8, 2)
+        lambda phi, extra, klass, cap: build_shallow_mixed(phi, extra, klass),
+        False, ("ceiling", 8, 2), (), True, "regular-strong",
     ),
     "shallow-mixed": TargetKind(
-        lambda phi, extra, cap: build_shallow_mixed(phi, extra), True, ("ceiling", 8, 2)
+        lambda phi, extra, klass, cap: build_shallow_mixed(phi, extra, klass),
+        True, ("ceiling", 8, 2), (), True, "strong",
     ),
-    "nested-mean-regular": TargetKind(build_nested, False, ("ceiling", 5, 2)),
-    "nested-mixed": TargetKind(build_nested, True, ("ceiling", 5, 2)),
+    "nested-mean-regular": TargetKind(
+        build_nested,
+        False, ("ceiling", 5, 2), ("only_edges",), False, "regular-tree-like",
+    ),
+    "nested-mixed": TargetKind(
+        build_nested,
+        True, ("ceiling", 5, 2), ("only_edges",), False, "tree-like",
+    ),
 }
 
 
@@ -197,9 +214,20 @@ def compile(
     if isinstance(target, str):
         target = parse_target(target)
     kind = target.kind
-    budget_kind, a, b = TARGET_KINDS[kind].budget
-    net = TARGET_KINDS[kind].build(phi, target.extra, trace_cap)
+    row = TARGET_KINDS[kind]
+    tags = classify(phi)
+    missing = [flag for flag in row.needs if not getattr(tags, flag)]
+    if missing:
+        needs = " and ".join(FRAGMENT_FLAGS[flag] for flag in missing)
+        raise FragmentMismatch(f"{target.name} compilation needs {needs} formulas")
+    if row.shallow and tags.max_modal_depth > 1:
+        raise FragmentMismatch(f"{target.name} compilation needs modal depth <= 1")
+    if tags.max_modal_depth == 0:
+        net = degenerate_boolean(phi, marked=row.required_class != "any")
+    else:
+        net = row.build(phi, target.extra, row.required_class, trace_cap)
 
+    budget_kind, a, b = row.budget
     md, deg = modal_depth(phi), degree(phi)
     bound = a * md * max(deg, 1) + b if kind.startswith("nested") else a * deg + b
     layers = len(net.layers)
@@ -224,7 +252,7 @@ def compile(
         required_class=net.required_class,
         modal_depth=md,
         degree=deg,
-        fragment=classify(phi),
+        fragment=tags,
         budget_kind=budget_kind,
         budget_bound=bound,
         dimension_names=net.dimension_names,
@@ -235,7 +263,6 @@ def compile(
 
 def format_report(report: CompilationReport) -> str:
     """Line-oriented text rendering of a report, dimension map included."""
-    tags = report.fragment
     lines = [
         f"target {report.target}",
         f"layers {report.layer_count}",
@@ -244,10 +271,7 @@ def format_report(report: CompilationReport) -> str:
         f"class {report.required_class}",
         f"modal-depth {report.modal_depth}",
         f"degree {report.degree}",
-        "fragment"
-        f" top-only={1 if tags.only_top else 0}"
-        f" edges-only={1 if tags.only_edges else 0}"
-        f" homogeneous={1 if tags.homogeneous else 0}",
+        report.fragment.line(),
         f"budget {report.budget_kind} {report.budget_bound}",
     ]
     for note in report.notes:

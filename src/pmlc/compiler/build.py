@@ -39,6 +39,7 @@ from ..logic import (
     PeanoNot,
     PmlFormula,
     Prop,
+    max_prop,
     modal_depth,
     print_formula,
     subformulas_ordered,
@@ -263,6 +264,18 @@ class NetBuilder:
 # Shared formula bookkeeping
 
 
+def marked_colours(phi: PmlFormula) -> Tuple[int, int]:
+    """(colour count, mark colour index) with one colour appended for the
+    focus mark."""
+    base = max_prop(phi) + 1
+    return base + 1, base
+
+
+def opposite(direction: str) -> str:
+    """The port on which a hop's receiver sees its sender."""
+    return "out" if direction == "in" else "in"
+
+
 def split_subformulas(phi: PmlFormula):
     """(all subformulas, modal-free ones, modal nodes) in canonical order."""
     subs = subformulas_ordered(phi)
@@ -353,10 +366,41 @@ def _atoms(psi) -> List[PeanoAtom]:
     return _atoms(psi.left) + _atoms(psi.right)
 
 
-def degenerate_boolean(
-    phi: PmlFormula, colours: int, required_class: str, mark_colour: Optional[int]
-) -> Mpnn:
-    """Single Boolean layer for modal-free formulas: e = 0, not inverted."""
+class EdgeStream:
+    """One monomial's hop pipeline over edge modalities: its accumulator
+    ``dim``, the ``recv`` dim its pushes land on, and per factor the child
+    and the port (``in`` or ``out``) it counts on.  Nested stages keep one
+    copy of each per trace class: ``acc(ii)`` and ``rcv(ii)``."""
+
+    def __init__(self, name: str, j: int, variables: Tuple[int, ...], chi: Modal):
+        self.dim = f"a{name}"
+        self.recv = f"r{name}"
+        self.j = j
+        self.variables = variables
+        self.children = [chi.children[v - 1] for v in variables]
+        self.dirs = [chi.modalities[v - 1].surface for v in variables]
+        self.deg = len(variables)
+
+    def acc(self, ii: int) -> str:
+        return f"{self.dim}.{ii}"
+
+    def rcv(self, ii: int) -> str:
+        return f"{self.recv}.{ii}"
+
+
+def edge_streams(modals: Sequence[Modal], prefix: str = "") -> List[EdgeStream]:
+    """One ``EdgeStream`` per row of ``monomial_streams(modals)``."""
+    return [
+        EdgeStream(f"{prefix}{h}", j, variables, modals[j])
+        for h, (j, variables) in enumerate(monomial_streams(modals))
+    ]
+
+
+def degenerate_boolean(phi: PmlFormula, marked: bool) -> Mpnn:
+    """Single Boolean layer for modal-free formulas: e = 0, not inverted;
+    on marked colours and class ``marked``, or on plain colours and class
+    ``any``."""
+    colours, mark = marked_colours(phi) if marked else (max_prop(phi) + 1, None)
     nb = NetBuilder(colours)
     _subs, flats, _modals = split_subformulas(phi)
     names = flat_names(flats)
@@ -367,7 +411,7 @@ def degenerate_boolean(
     return nb.finish(
         exponent=0,
         inverted=False,
-        required_class=required_class,
-        mark_colour=mark_colour,
+        required_class="marked" if marked else "any",
+        mark_colour=mark,
         formula_text=print_formula(phi),
     )

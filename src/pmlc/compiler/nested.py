@@ -42,10 +42,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..logic import (
     And,
     Modal,
-    Modality,
     Not,
     PmlFormula,
-    classify,
     degree,
     modal_depth,
     print_formula,
@@ -53,23 +51,20 @@ from ..logic import (
 )
 from ..mpnn import Aggregator, Mpnn
 from .build import (
+    EdgeStream,
     FragmentMismatch,
     LayerPlan,
     Ledger,
     NetBuilder,
     TraceLimitExceeded,
-    degenerate_boolean,
+    edge_streams,
     flat_names,
+    marked_colours,
     monomial_streams,
+    opposite,
     split_subformulas,
     write_flags,
 )
-from .shallow import _direction, _marked_colours, _opposite
-
-
-def _recv_port(e: Modality) -> str:
-    """Side on which a walk step's target node sees the step's source."""
-    return "in" if e is Modality.E_OUT else "out"
 
 
 def _modal_leaves(s: PmlFormula) -> List[Modal]:
@@ -110,27 +105,8 @@ def _check_critical(phi: PmlFormula, M: int) -> None:
     walk(phi, 0)
 
 
-class _StageStream:
-    """One monomial's accumulator pipeline within a stage."""
-
-    def __init__(self, level: int, h: int, j: int, variables: Tuple[int, ...], chi: Modal):
-        self.base = f"a{level}.{h}"
-        self.rbase = f"r{level}.{h}"
-        self.j = j
-        self.variables = variables
-        self.children = [chi.children[v - 1] for v in variables]
-        self.dirs = [_direction(chi.modalities[v - 1]) for v in variables]
-        self.deg = len(variables)
-
-    def acc(self, ii: int) -> str:
-        return f"{self.base}.{ii}"
-
-    def rcv(self, ii: int) -> str:
-        return f"{self.rbase}.{ii}"
-
-
 def build_nested(
-    phi: PmlFormula, extra: Optional[Aggregator] = None, trace_cap: int = 8
+    phi: PmlFormula, extra: Optional[Aggregator], klass: str, trace_cap: int
 ) -> Mpnn:
     """Edge modalities at any depth-critical nesting depth.
 
@@ -139,16 +115,8 @@ def build_nested(
     2^t for t trace chains, so formulas needing more than ``trace_cap``
     chains are rejected.
     """
-    if extra is not None and extra not in (Aggregator.SUM, Aggregator.MAX):
-        raise ValueError("extra aggregator must be sum or max")
-    tags = classify(phi)
-    if not tags.only_edges:
-        raise FragmentMismatch("nested compilation needs edge modalities only")
-    klass = "regular-tree-like" if extra is None else "tree-like"
-    colours, mark = _marked_colours(phi)
-    M = tags.max_modal_depth
-    if M == 0:
-        return degenerate_boolean(phi, colours, "marked", mark)
+    colours, mark = marked_colours(phi)
+    M = modal_depth(phi)
     _check_critical(phi, M)
     tidx = tuple(islice(trace_index(phi), trace_cap + 2))
     if len(tidx) - 1 > trace_cap:
@@ -186,14 +154,10 @@ def build_nested(
                     lower.append(chi)
         stage_modals[level - 1] = lower
 
-    streams: Dict[int, List[_StageStream]] = {}
-    hmap: Dict[int, Dict[Tuple[int, Tuple[int, ...]], _StageStream]] = {}
+    streams: Dict[int, List[EdgeStream]] = {}
+    hmap: Dict[int, Dict[Tuple[int, Tuple[int, ...]], EdgeStream]] = {}
     for level in range(1, M + 1):
-        rows = monomial_streams(stage_modals[level])
-        streams[level] = [
-            _StageStream(level, h, j, vs, stage_modals[level][j])
-            for h, (j, vs) in enumerate(rows)
-        ]
+        streams[level] = edge_streams(stage_modals[level], f"{level}.")
         hmap[level] = {(s.j, s.variables): s for s in streams[level]}
 
     zone_len = K if extra is None else max(2 * K - 1, 0)
@@ -279,7 +243,7 @@ def build_nested(
         standing.append(uname(1))
         for ti, trace in enumerate(tidx):
             if len(trace) == 1:
-                port = _recv_port(trace[0])
+                port = opposite(trace[0].surface)
                 plan.set(
                     f"y{ti}",
                     plan.min_(plan.glob(mark_bit), plan.agg(port, mark_bit)),
@@ -304,7 +268,7 @@ def build_nested(
         for ti, trace in enumerate(tidx):
             if len(trace) == i:
                 parent = tidx.index(trace[:-1])
-                port = _recv_port(trace[-1])
+                port = opposite(trace[-1].surface)
                 plan.set(
                     f"y{ti}",
                     plan.min_(plan.glob("C"), plan.agg(port, f"y{parent}")),
@@ -340,11 +304,11 @@ def build_nested(
         # missing factor; with an extra aggregator only focus-side pulls
         # divide, so a stream owes K per direction less its own factors.
         if extra is None:
-            need = {s.base: Ledger(ins=K - s.deg) for s in ss}
+            need = {s.dim: Ledger(ins=K - s.deg) for s in ss}
             unit = Ledger(ins=K)
         else:
             need = {
-                s.base: Ledger(ins=K - s.dirs.count("in"), outs=K - s.dirs.count("out"))
+                s.dim: Ledger(ins=K - s.dirs.count("in"), outs=K - s.dirs.count("out"))
                 for s in ss
             }
             unit = Ledger(ins=K, outs=K)
@@ -365,7 +329,7 @@ def build_nested(
                 if t <= s.deg:
                     child, d = s.children[t - 1], s.dirs[t - 1]
                     for ii in subsets:
-                        raw = plan.agg(_opposite(d), s.acc(ii))
+                        raw = plan.agg(opposite(d), s.acc(ii))
                         if modal_depth(child) == 0:
                             gated = plan.mask01(raw, plan.prev(names[child]))
                         else:
@@ -408,7 +372,7 @@ def build_nested(
                     for ii in subsets:
                         plan.set(s.acc(ii), sep(plan, ii, plan.agg_out(s.rcv(ii))))
                 else:
-                    pull(plan, s.acc, need[s.base].pay())
+                    pull(plan, s.acc, need[s.dim].pay())
             if extra is None:
                 for ii in subsets:
                     plan.set(udim(ii), sep(plan, ii, plan.agg_out(vdim(ii))))
@@ -422,7 +386,7 @@ def build_nested(
             plan = open_layer()
             maintain(plan)
             for s in ss:
-                pull(plan, s.acc, need[s.base].pay())
+                pull(plan, s.acc, need[s.dim].pay())
             pull(plan, udim, unit.pay())
             plan.done()
         for ledger in (unit, *need.values()):

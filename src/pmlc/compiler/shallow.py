@@ -10,10 +10,8 @@ sound on:
 
 * ``build_global_homogeneous`` — iterated global mean over a single
   homogeneous constraint; sound on every pointed graph, inverted verdict.
-* ``build_global_shallow`` — global means with mark-masked alignment;
-  needs a marked focus.
-* ``build_global_deep`` — flattens a deep all-top formula to depth one,
-  then compiles as above.
+* ``build_global`` — global means with mark-masked alignment; needs a
+  marked focus.  A deep all-top formula is first flattened to depth one.
 * ``build_local_mean`` — directional means ping-ponging through the
   focus's neighbourhood; needs a regular graph and a strongly marked
   focus (the self-loop drives denominator alignment).
@@ -26,66 +24,48 @@ sound on:
 Every scale that depends on the graph size is carried in a dimension (the
 unit stream ``U`` and check scale ``R2``) and referenced by weight, never
 baked into a bias.
+
+Each builder is called by ``pmlc.compiler.compile`` only, with a formula
+that has a modal node and lies in the target's fragment, and with the
+target's graph class.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..logic import (
     Modal,
     Modality,
     PmlFormula,
-    classify,
     degree,
     flatten_global,
     max_prop,
-    modal_depth,
     print_formula,
 )
 from ..mpnn import Aggregator, Mpnn
+from ..net import Ref
 from .build import (
     FragmentMismatch,
     LayerPlan,
     Ledger,
     NetBuilder,
-    degenerate_boolean,
+    edge_streams,
     flat_names,
+    marked_colours,
     monomial_streams,
+    opposite,
     split_subformulas,
     write_flags,
 )
-
-
-def _plain_colours(phi: PmlFormula) -> int:
-    return max_prop(phi) + 1
-
-
-def _marked_colours(phi: PmlFormula) -> Tuple[int, int]:
-    """(colour count, mark colour index) with one colour appended for the
-    focus mark."""
-    base = max_prop(phi) + 1
-    return base + 1, base
-
-
-def _direction(m: Modality) -> str:
-    if m is Modality.E_IN:
-        return "in"
-    if m is Modality.E_OUT:
-        return "out"
-    raise ValueError(f"not an edge modality: {m!r}")
-
-
-def _opposite(direction: str) -> str:
-    return "out" if direction == "in" else "in"
 
 
 # ---------------------------------------------------------------------------
 # Global homogeneous
 
 
-def build_global_homogeneous(phi: PmlFormula) -> Mpnn:
+def build_global_homogeneous(phi: PmlFormula, klass: str) -> Mpnn:
     """Mean-only network with an inverted verdict, sound on all graphs.
 
     The single homogeneous constraint (one atom, bound 0, all monomials of
@@ -94,19 +74,11 @@ def build_global_homogeneous(phi: PmlFormula) -> Mpnn:
     alignment, and integrality separates 0 from n^-k.  Layer count is
     exactly degree+1.
     """
-    tags = classify(phi)
-    if not (tags.only_top and tags.homogeneous):
-        raise FragmentMismatch(
-            "global homogeneous compilation needs only-top modalities and "
-            "homogeneous constraints (single atom, bound 0, uniform degree)"
-        )
-    if tags.max_modal_depth == 0:
-        return degenerate_boolean(phi, _plain_colours(phi), "any", None)
-    if tags.max_modal_depth > 1 or not isinstance(phi, Modal):
+    if not isinstance(phi, Modal):
         raise FragmentMismatch(
             "global homogeneous compilation needs a bare modal root of depth 1"
         )
-    colours = _plain_colours(phi)
+    colours = max_prop(phi) + 1
     atom = phi.constraint  # homogeneous implies a single normalized atom
     monos = atom.monomials
     k = monos[0].degree if monos else 0
@@ -122,7 +94,7 @@ def build_global_homogeneous(phi: PmlFormula) -> Mpnn:
         return nb.finish(
             exponent=0,
             inverted=True,
-            required_class="any",
+            required_class=klass,
             mark_colour=None,
             formula_text=print_formula(phi),
         )
@@ -157,7 +129,7 @@ def build_global_homogeneous(phi: PmlFormula) -> Mpnn:
     return nb.finish(
         exponent=k,
         inverted=True,
-        required_class="any",
+        required_class=klass,
         mark_colour=None,
         formula_text=print_formula(phi),
     )
@@ -167,10 +139,24 @@ def build_global_homogeneous(phi: PmlFormula) -> Mpnn:
 # Global shallow (and deep, via flattening)
 
 
-def _global_shallow_net(
-    phi: PmlFormula, colours: int, mark: int, formula_text: str
-) -> Mpnn:
-    """Depth-<=1 only-top compilation onto marked pointed graphs."""
+def build_global(phi: PmlFormula, klass: str) -> Mpnn:
+    """Only-top at any depth, onto marked pointed graphs; e = degree.
+
+    The nesting is flattened first (formulas of depth <= 1 come back
+    unchanged), so the network only ever evaluates depth-1 modal nodes.
+    """
+    return _global_net(flatten_global(phi), klass, phi)
+
+
+def _global_net(phi: PmlFormula, klass: str, source: PmlFormula) -> Mpnn:
+    """Depth-1 compilation of ``phi`` (``source`` or its flattened form)
+    with gated global means.
+
+    At degree 0 the constraints count nothing, so the two layers built
+    (flags, then checks against the mark as the unit) are sound for any
+    modalities; the local builders use this for that case too.
+    """
+    colours, mark = marked_colours(source)
     subs, flats, modals = split_subformulas(phi)
     names = flat_names(flats)
     K = degree(phi)
@@ -206,88 +192,20 @@ def _global_shallow_net(
 
     plan = nb.layer()
     uref = plan.glob("U") if K >= 1 else plan.prev("mk")
-    modal_truth: Dict[PmlFormula, "object"] = {}
-    for j, chi in enumerate(modals):
-        def atom_ref(atom, j=j):
-            return plan.atom_check(
-                atom,
-                lambda variables: plan.glob(sname[(j, variables)]),
-                uref,
-                uref,
-            )
-        modal_truth[chi] = plan.peano_truth(chi.constraint, atom_ref, uref)
-
-    def leaf(s):
-        if isinstance(s, Modal):
-            return modal_truth[s]
-        return plan.flag_at(uref, plan.prev(names[s]))
-
-    plan.set("out", plan.mask01(plan.skeleton_truth(phi, leaf, uref), plan.prev("mk")))
+    _final_check_layer(plan, phi, modals, names, plan.glob, sname, uref, uref)
     plan.done()
 
     return nb.finish(
         exponent=K,
         inverted=False,
-        required_class="marked",
+        required_class=klass,
         mark_colour=mark,
-        formula_text=formula_text,
+        formula_text=print_formula(source),
     )
-
-
-def build_global_shallow(phi: PmlFormula) -> Mpnn:
-    """Only-top, depth <= 1, onto marked pointed graphs; e = degree."""
-    tags = classify(phi)
-    if not tags.only_top:
-        raise FragmentMismatch("global shallow compilation needs only-top modalities")
-    if tags.max_modal_depth > 1:
-        raise FragmentMismatch(
-            "global shallow compilation needs modal depth <= 1 "
-            "(use the deep variant for nested top formulas)"
-        )
-    colours, mark = _marked_colours(phi)
-    if tags.max_modal_depth == 0:
-        return degenerate_boolean(phi, colours, "marked", mark)
-    return _global_shallow_net(phi, colours, mark, print_formula(phi))
-
-
-def build_global_deep(phi: PmlFormula) -> Mpnn:
-    """Only-top at any depth: flatten the nesting, then compile shallow."""
-    tags = classify(phi)
-    if not tags.only_top:
-        raise FragmentMismatch("global deep compilation needs only-top modalities")
-    colours, mark = _marked_colours(phi)
-    flat = flatten_global(phi)
-    if modal_depth(flat) == 0:
-        return degenerate_boolean(flat, colours, "marked", mark)
-    return _global_shallow_net(flat, colours, mark, print_formula(phi))
 
 
 # ---------------------------------------------------------------------------
 # Local builders (edge modalities, depth <= 1)
-
-
-class _EdgeStream:
-    """Bookkeeping for one monomial's hop pipeline."""
-
-    def __init__(self, h: int, j: int, variables: Tuple[int, ...], chi: Modal):
-        self.dim = f"a{h}"
-        self.recv = f"r{h}"
-        self.j = j
-        self.variables = variables
-        self.children = [chi.children[v - 1] for v in variables]
-        self.dirs = [_direction(chi.modalities[v - 1]) for v in variables]
-
-    @property
-    def deg(self) -> int:
-        return len(self.variables)
-
-
-def _local_gate(phi: PmlFormula, what: str) -> None:
-    tags = classify(phi)
-    if not tags.only_edges:
-        raise FragmentMismatch(f"{what} compilation needs edge modalities only")
-    if tags.max_modal_depth > 1:
-        raise FragmentMismatch(f"{what} compilation needs modal depth <= 1")
 
 
 def _final_check_layer(
@@ -295,22 +213,24 @@ def _final_check_layer(
     phi: PmlFormula,
     modals: List[Modal],
     names: Dict[PmlFormula, str],
+    read: Callable[[str], Ref],
     stream_dim: Dict[Tuple[int, Tuple[int, ...]], str],
-    uref,
-    r2ref,
+    uref: Ref,
+    r2ref: Ref,
 ) -> None:
     """Constraint checks + root skeleton from accumulated stream dims.
 
-    ``uref`` (the unit) and ``r2ref`` (the check scale) are nonzero only
-    at the focus, so the whole verdict collapses to zero elsewhere even
-    before the mark mask.
+    ``read`` is the port (``plan.prev`` or ``plan.glob``) the stream dims
+    are read on.  ``uref`` (the unit) and ``r2ref`` (the check scale) are
+    nonzero only at the focus, so the whole verdict collapses to zero
+    elsewhere even before the mark mask.
     """
-    modal_truth: Dict[PmlFormula, "object"] = {}
+    modal_truth: Dict[PmlFormula, Ref] = {}
     for j, chi in enumerate(modals):
         def atom_ref(atom, j=j):
             return plan.atom_check(
                 atom,
-                lambda variables: plan.prev(stream_dim[(j, variables)]),
+                lambda variables: read(stream_dim[(j, variables)]),
                 uref,
                 r2ref,
             )
@@ -350,32 +270,7 @@ def _alignment_zone(
         ledger.close()
 
 
-def _degenerate_local(phi: PmlFormula, klass: str) -> Mpnn:
-    """Depth-1 formula of degree 0: constraints are count-free, so a
-    two-layer net (flags, then checks against the mark as the unit) works
-    with e = 0."""
-    colours, mark = _marked_colours(phi)
-    subs, flats, modals = split_subformulas(phi)
-    names = flat_names(flats)
-    nb = NetBuilder(colours)
-    plan = nb.layer()
-    write_flags(plan, flats, names)
-    plan.set("mk", plan.prev(f"c{mark}"))
-    plan.done()
-    plan = nb.layer()
-    mk = plan.prev("mk")
-    _final_check_layer(plan, phi, modals, names, {}, mk, mk)
-    plan.done()
-    return nb.finish(
-        exponent=0,
-        inverted=False,
-        required_class=klass,
-        mark_colour=mark,
-        formula_text=print_formula(phi),
-    )
-
-
-def build_local_mean(phi: PmlFormula) -> Mpnn:
+def build_local_mean(phi: PmlFormula, klass: str) -> Mpnn:
     """Edge modalities, depth <= 1, mean-only; sound on regular graphs
     with a strongly marked focus.
 
@@ -387,21 +282,13 @@ def build_local_mean(phi: PmlFormula) -> Mpnn:
     (d_in*d_out)^-degree; the unit stream U follows the same path from
     the bare mark.  e = 2*degree.
     """
-    _local_gate(phi, "local mean")
-    tags = classify(phi)
-    colours, mark = _marked_colours(phi)
-    if tags.max_modal_depth == 0:
-        return degenerate_boolean(phi, colours, "marked", mark)
     K = degree(phi)
     if K == 0:
-        return _degenerate_local(phi, "regular-strong")
-
+        return _global_net(phi, klass, phi)
+    colours, mark = marked_colours(phi)
     subs, flats, modals = split_subformulas(phi)
     names = flat_names(flats)
-    streams = [
-        _EdgeStream(h, j, variables, modals[j])
-        for h, (j, variables) in enumerate(monomial_streams(modals))
-    ]
+    streams = edge_streams(modals)
     stream_dim = {(s.j, s.variables): s.dim for s in streams}
     flag_dims = [names[s] for s in flats]
 
@@ -431,7 +318,7 @@ def build_local_mean(phi: PmlFormula) -> Mpnn:
         mk = plan.prev("mk")
         for s in streams:
             if s.deg >= t:
-                pushed = plan.agg(_opposite(s.dirs[t - 1]), s.dim)
+                pushed = plan.agg(opposite(s.dirs[t - 1]), s.dim)
                 plan.set(s.recv, plan.mask01(pushed, plan.prev(names[s.children[t - 1]])))
             else:
                 plan.set(s.dim, plan.mask01(plan.agg_in(s.dim), mk))
@@ -458,27 +345,27 @@ def build_local_mean(phi: PmlFormula) -> Mpnn:
     plan.carry(*flag_dims, "mk")
     mk = plan.prev("mk")
     for s in streams:
-        plan.set(s.dim, plan.mask01(plan.agg(_opposite(s.dirs[0]), s.dim), mk))
+        plan.set(s.dim, plan.mask01(plan.agg(opposite(s.dirs[0]), s.dim), mk))
     plan.set("U", plan.mask01(plan.agg_out("U"), mk))
     plan.set("R2", plan.mask01(plan.glob("R2"), mk))
     plan.done()
 
     plan = nb.layer()
     _final_check_layer(
-        plan, phi, modals, names, stream_dim, plan.prev("U"), plan.prev("R2")
+        plan, phi, modals, names, plan.prev, stream_dim, plan.prev("U"), plan.prev("R2")
     )
     plan.done()
 
     return nb.finish(
         exponent=2 * K,
         inverted=False,
-        required_class="regular-strong",
+        required_class=klass,
         mark_colour=mark,
         formula_text=print_formula(phi),
     )
 
 
-def build_local_mixed(phi: PmlFormula, extra: Aggregator) -> Mpnn:
+def build_local_mixed(phi: PmlFormula, extra: Aggregator, klass: str) -> Mpnn:
     """Edge modalities, depth <= 1, mean plus sum-or-max; sound on any
     graph with a strongly marked focus.
 
@@ -488,23 +375,13 @@ def build_local_mixed(phi: PmlFormula, extra: Aggregator) -> Mpnn:
     focus degree; alignment self-loop hops finish all monomials and the
     unit at d_in(v)^-K * d_out(v)^-K.  e = 2*degree.
     """
-    if extra not in (Aggregator.SUM, Aggregator.MAX):
-        raise ValueError("extra aggregator must be sum or max")
-    _local_gate(phi, "local mixed")
-    tags = classify(phi)
-    colours, mark = _marked_colours(phi)
-    if tags.max_modal_depth == 0:
-        return degenerate_boolean(phi, colours, "marked", mark)
     K = degree(phi)
     if K == 0:
-        return _degenerate_local(phi, "strong")
-
+        return _global_net(phi, klass, phi)
+    colours, mark = marked_colours(phi)
     subs, flats, modals = split_subformulas(phi)
     names = flat_names(flats)
-    streams = [
-        _EdgeStream(h, j, variables, modals[j])
-        for h, (j, variables) in enumerate(monomial_streams(modals))
-    ]
+    streams = edge_streams(modals)
     stream_dim = {(s.j, s.variables): s.dim for s in streams}
     flag_dims = [names[s] for s in flats]
 
@@ -543,7 +420,7 @@ def build_local_mixed(phi: PmlFormula, extra: Aggregator) -> Mpnn:
         mk = plan.prev("mk")
         for s in streams:
             if s.deg >= t:
-                pushed = plan.agg(_opposite(s.dirs[t - 1]), s.dim)
+                pushed = plan.agg(opposite(s.dirs[t - 1]), s.dim)
                 plan.set(s.recv, plan.mask01(pushed, plan.prev(names[s.children[t - 1]])))
             else:
                 plan.carry(s.dim)
@@ -568,14 +445,14 @@ def build_local_mixed(phi: PmlFormula, extra: Aggregator) -> Mpnn:
 
     plan = nb.layer()
     _final_check_layer(
-        plan, phi, modals, names, stream_dim, plan.prev("U"), plan.prev("R2")
+        plan, phi, modals, names, plan.prev, stream_dim, plan.prev("U"), plan.prev("R2")
     )
     plan.done()
 
     return nb.finish(
         exponent=2 * K,
         inverted=False,
-        required_class="strong",
+        required_class=klass,
         mark_colour=mark,
         formula_text=print_formula(phi),
     )
@@ -611,10 +488,12 @@ class _MixedStream:
             elif m is Modality.ID:
                 self.ids.append(child)
             else:
-                self.edges.append((child, _direction(m)))
+                self.edges.append((child, m.surface))
 
 
-def build_shallow_mixed(phi: PmlFormula, extra: Optional[Aggregator] = None) -> Mpnn:
+def build_shallow_mixed(
+    phi: PmlFormula, extra: Optional[Aggregator], klass: str
+) -> Mpnn:
     """Depth <= 1 with all four modalities in one constraint.
 
     Phases per monomial, in a fixed factor order (global, identity,
@@ -633,19 +512,10 @@ def build_shallow_mixed(phi: PmlFormula, extra: Optional[Aggregator] = None) -> 
     the push delivers the focus value undivided and any strongly marked
     pointed graph works.
     """
-    if extra is not None and extra not in (Aggregator.SUM, Aggregator.MAX):
-        raise ValueError("extra aggregator must be sum or max")
-    tags = classify(phi)
-    if tags.max_modal_depth > 1:
-        raise FragmentMismatch("shallow mixed compilation needs modal depth <= 1")
-    klass = "regular-strong" if extra is None else "strong"
-    colours, mark = _marked_colours(phi)
-    if tags.max_modal_depth == 0:
-        return degenerate_boolean(phi, colours, "marked", mark)
     K = degree(phi)
     if K == 0:
-        return _degenerate_local(phi, klass)
-
+        return _global_net(phi, klass, phi)
+    colours, mark = marked_colours(phi)
     subs, flats, modals = split_subformulas(phi)
     names = flat_names(flats)
     streams = [
@@ -753,7 +623,7 @@ def build_shallow_mixed(phi: PmlFormula, extra: Optional[Aggregator] = None) -> 
         for s in streams:
             if len(s.edges) >= t:
                 child, direction = s.edges[t - 1]
-                pushed = plan.agg(_opposite(direction), s.dim)
+                pushed = plan.agg(opposite(direction), s.dim)
                 plan.set(s.recv, plan.mask01(pushed, plan.prev(names[child])))
             else:
                 plan.carry(s.dim)
@@ -774,7 +644,7 @@ def build_shallow_mixed(phi: PmlFormula, extra: Optional[Aggregator] = None) -> 
 
     plan = nb.layer()
     _final_check_layer(
-        plan, phi, modals, names, stream_dim, plan.prev("U"), plan.prev("R2")
+        plan, phi, modals, names, plan.prev, stream_dim, plan.prev("U"), plan.prev("R2")
     )
     plan.done()
 

@@ -107,17 +107,6 @@ def is_strongly_marked(g: Graph, v: int, colour: int) -> bool:
 # Trace sets and the tree-like class
 
 
-def _step_direction(e: Modality) -> str:
-    # A trace element records which neighbourhood the counting step used:
-    # E_out at u sees out-neighbours of u, E_in sees in-neighbours, so a
-    # walk step along E_in traverses an edge backwards.
-    if e is Modality.E_OUT:
-        return "out"
-    if e is Modality.E_IN:
-        return "in"
-    raise ValueError("traces contain edge modalities only")
-
-
 def _reach_maps(
     phi: PmlFormula, pg: PointedGraph, depth: int
 ) -> tuple[
@@ -134,7 +123,10 @@ def _reach_maps(
     for t in traces(phi):  # prefix-closed, so reach[t[:-1]] is already set
         if len(t) > depth:
             break
-        direction = _step_direction(t[-1])
+        # A trace element records which neighbourhood the counting step
+        # used: E_out at u sees out-neighbours of u, E_in sees in-neighbours,
+        # so a walk step along E_in traverses an edge backwards.
+        direction = t[-1].surface
         found: dict[int, Optional[int]] = {}
         for q in sorted(reach[t[:-1]]):
             for w in neigh(g, q, direction):
@@ -215,7 +207,7 @@ def check_tree_like(
     reach, parent = _reach_maps(phi, pg, modal_depth(phi))
     for t in traces(phi):
         prefix = t[:-1]
-        direction = _step_direction(t[-1])
+        direction = t[-1].surface
         for q in sorted(reach[prefix]):
             successors = neigh(g, q, direction)
             if successors and (q, q) not in g.edges:

@@ -108,8 +108,13 @@ class _Node:
         return type(self), tuple(getattr(self, f) for f in self._fields)
 
     def __repr__(self) -> str:
-        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
-        return f"{type(self).__name__}({args})"
+        # Formulas and constraints render through their iterative printers,
+        # so a deep node does not recurse.
+        if isinstance(self, (Prop, Not, And, Modal)):
+            return f"{type(self).__name__}({print_formula(self)!r})"
+        if isinstance(self, (PeanoAtom, PeanoNot, PeanoAnd)):
+            return f"{type(self).__name__}({print_peano(self)!r})"
+        return f"Monomial(coeff={self.coeff!r}, variables={self.variables!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -572,11 +577,15 @@ def print_formula(phi: PmlFormula) -> str:
 
 
 def print_peano(psi: PeanoFormula) -> str:
-    if isinstance(psi, PeanoAtom):
-        return f"{_print_polynomial(psi.monomials)} <= {psi.bound}"
-    if isinstance(psi, PeanoNot):
-        return f"!{print_peano(psi.operand)}"
-    return f"({print_peano(psi.left)} & {print_peano(psi.right)})"
+    text: dict[PeanoFormula, str] = {}
+    for s in _postorder(psi, _peano_operands):
+        if isinstance(s, PeanoAtom):
+            text[s] = f"{_print_polynomial(s.monomials)} <= {s.bound}"
+        elif isinstance(s, PeanoNot):
+            text[s] = f"!{text[s.operand]}"
+        else:
+            text[s] = f"({text[s.left]} & {text[s.right]})"
+    return text[psi]
 
 
 def _print_polynomial(monomials: tuple[Monomial, ...]) -> str:
@@ -625,9 +634,18 @@ def _operands(phi: PmlFormula) -> tuple[PmlFormula, ...]:
     return ()
 
 
-def _postorder(phi: PmlFormula) -> list[PmlFormula]:
+def _peano_operands(psi: PeanoFormula) -> tuple[PeanoFormula, ...]:
+    if isinstance(psi, PeanoNot):
+        return (psi.operand,)
+    if isinstance(psi, PeanoAnd):
+        return (psi.left, psi.right)
+    return ()
+
+
+def _postorder(phi: PmlFormula, operands=_operands) -> list[PmlFormula]:
     """Distinct subformulas in the order a left-to-right depth-first walk
-    finishes them (every operand before its parent), without recursion."""
+    finishes them (every operand before its parent), without recursion;
+    ``operands=_peano_operands`` walks a constraint instead."""
     order: list[PmlFormula] = []
     done: set[PmlFormula] = set()
     stack: list[tuple[PmlFormula, bool]] = [(phi, False)]
@@ -640,7 +658,7 @@ def _postorder(phi: PmlFormula) -> list[PmlFormula]:
             order.append(s)
         else:
             stack.append((s, True))
-            stack.extend((c, False) for c in reversed(_operands(s)) if c not in done)
+            stack.extend((c, False) for c in reversed(operands(s)) if c not in done)
     return order
 
 
@@ -706,6 +724,14 @@ def trace_index(phi: PmlFormula) -> Iterator[tuple[Modality, ...]]:
 # Fragment classification
 
 
+# The Boolean fragment flags of FragmentTags, with the names printed for them.
+FRAGMENT_FLAGS = {
+    "only_top": "top-only",
+    "only_edges": "edges-only",
+    "homogeneous": "homogeneous",
+}
+
+
 @dataclass(frozen=True)
 class FragmentTags:
     """Syntactic fragment facts used for compilation dispatch."""
@@ -714,6 +740,12 @@ class FragmentTags:
     only_top: bool
     only_edges: bool
     homogeneous: bool
+
+    def line(self) -> str:
+        """``fragment top-only=1 edges-only=0 homogeneous=1``, the line
+        ``pmlc parse`` and compilation reports print."""
+        flags = (f" {name}={int(getattr(self, f))}" for f, name in FRAGMENT_FLAGS.items())
+        return "fragment" + "".join(flags)
 
 
 def _modal_nodes(phi: PmlFormula) -> list[Modal]:

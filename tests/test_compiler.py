@@ -10,13 +10,13 @@ import pytest
 
 import pmlc
 
+from pmlc.cli import main
 from pmlc.compiler import (
     ALL_TARGETS,
+    TARGET_KINDS,
     CompilationTarget,
     FragmentMismatch,
     TraceLimitExceeded,
-    build_global_deep,
-    build_global_shallow,
     compile,
     format_report,
     parse_target,
@@ -29,7 +29,7 @@ from pmlc.graphs import (
     is_regular,
     is_strongly_marked,
 )
-from pmlc.logic import Modality, degree, modal_depth, parse_formula
+from pmlc.logic import Modality, degree, modal_depth, parse_formula, print_formula
 from pmlc.mpnn import Aggregator, ClassViolation, judge, mpnn_eval, print_mpnn
 from pmlc.net import ZERO, rat
 from pmlc.oracle import all_pointed_graphs, models
@@ -125,19 +125,52 @@ def test_homogeneous_cubic_report():
     assert rep.modal_depth == 1 and rep.degree == 3
 
 
-def test_fragment_mismatches():
-    with pytest.raises(FragmentMismatch):
-        compile(parse_formula("<top>{x1 >= 2}(p0)"), "global-homogeneous")
-    with pytest.raises(FragmentMismatch):
-        compile(SQUARE_VS_CUBE_LOCAL, "global-shallow")
-    with pytest.raises(FragmentMismatch):
-        compile(THREE_MODALITY_MIXED, "local-mixed-sum")
-    with pytest.raises(FragmentMismatch):
-        compile(OUT_OUT, "local-mean-regular")
-    with pytest.raises(FragmentMismatch):
-        compile(parse_formula("<top>{x1 >= 1}(p0)"), "nested-mean-regular")
-    with pytest.raises(FragmentMismatch):
-        compile(OUT_OUT, "global-deep")
+TOP_TOP = parse_formula("<top>{x1 <= 0}(<top>{x1 >= 1}(p0))")
+
+# One formula outside each TARGET_KINDS row's fragment, and the part of the
+# fragment it misses.
+MISMATCHES = (
+    ("global-homogeneous", parse_formula("<top>{x1 >= 2}(p0)"), "homogeneous"),
+    ("global-shallow", TOP_TOP, "modal depth <= 1"),
+    ("global-deep", SQUARE_VS_CUBE_LOCAL, "top-only"),
+    ("local-mean-regular", OUT_OUT, "modal depth <= 1"),
+    ("local-mixed-sum", THREE_MODALITY_MIXED, "edges-only"),
+    ("shallow-mixed-regular", OUT_OUT, "modal depth <= 1"),
+    ("shallow-mixed-max", TOP_TOP, "modal depth <= 1"),
+    ("nested-mean-regular", parse_formula("<top>{x1 >= 1}(p0)"), "edges-only"),
+    ("nested-mixed-sum", THREE_MODALITY_MIXED, "edges-only"),
+)
+
+
+def test_fragment_mismatches(tmp_path, capsys):
+    assert {parse_target(name).kind for name, _, _ in MISMATCHES} == set(TARGET_KINDS)
+    for name, phi, missed in MISMATCHES:
+        with pytest.raises(FragmentMismatch, match=missed):
+            compile(phi, name)
+    # The CLI turns the mismatch into exit 3 with an error line.
+    name, phi, missed = MISMATCHES[-1]
+    f = tmp_path / "f.pml"
+    f.write_text(print_formula(phi))
+    out = str(tmp_path / "f.mpnn")
+    capsys.readouterr()
+    assert main(["compile", str(f), "--target", name, "--out", out]) == 3
+    assert f"error: {name} compilation needs {missed}" in capsys.readouterr().err
+    assert not Path(out).exists()
+
+
+@pytest.mark.parametrize("name", TARGET_NAMES)
+def test_modal_free_formula_compiles_to_one_boolean_layer(name):
+    net, rep = compile(parse_formula("(p1 & !p0)"), name)
+    assert rep.layer_count == 1 and rep.exponent == 0 and not rep.inverted
+    if name == "global-homogeneous":
+        assert rep.required_class == "any" and net.mark_colour is None
+        assert (net.colours, rep.budget_kind) == (2, "exact")
+        member = pg(1, 2, [], [(0, 1)])
+    else:
+        assert rep.required_class == "marked" and net.mark_colour == 2
+        assert net.colours == 3
+        member = pg(1, 3, [], [(0, 1, 1)])
+    assert judge(net, member).accepted
 
 
 def test_nested_needs_depth_critical_children():
@@ -247,9 +280,9 @@ def test_shallow_unmarked_focus_raises():
 
 def test_deep_matches_shallow_on_flat_formulas():
     for phi in bank("global-shallow", random_count=10):
-        assert print_mpnn(build_global_deep(phi)) == print_mpnn(
-            build_global_shallow(phi)
-        )
+        deep, _ = compile(phi, "global-deep")
+        shallow, _ = compile(phi, "global-shallow")
+        assert print_mpnn(deep) == print_mpnn(shallow)
 
 
 def test_deep_two_level_exhaustive():

@@ -219,6 +219,11 @@ def test_deep_formulas_need_no_recursion():
     wrapped = Modal((Modality.TOP,), parse_peano("x1 >= 1"), (phi,))
     assert modal_depth(wrapped) == 1 and degree(wrapped) == 1
     assert print_formula(wrapped) == "<top>{!x1 <= 0}(" + "!" * 5000 + "p2)"
+    assert repr(phi) == "Not('" + "!" * 5000 + "p2')"
+    deep_constraint = parse_peano("x1 >= 1")
+    for _ in range(5000):
+        deep_constraint = PeanoNot(deep_constraint)
+    assert repr(deep_constraint) == "PeanoNot('" + "!" * 5001 + "x1 <= 0')"
     # Interning: equal formulas are one object, however they were built.
     assert parse_formula(EX_MIXED) is parse_formula(EX_MIXED)
     assert parse_peano("x1*x2 <= 3") is parse_peano("x2*x1 <= 3")
