@@ -72,6 +72,10 @@ __all__ = [
 ]
 
 _EXTRA_NAME = {Aggregator.SUM: "sum", Aggregator.MAX: "max"}
+# What a fragment mismatch message says about each missing flag.
+_NEEDS_TEXT = dict(
+    FRAGMENT_FLAGS, homogeneous="homogeneous (single atom, bound 0, uniform degree)"
+)
 
 
 @dataclass(frozen=True)
@@ -218,10 +222,11 @@ def compile(
     tags = classify(phi)
     missing = [flag for flag in row.needs if not getattr(tags, flag)]
     if missing:
-        needs = " and ".join(FRAGMENT_FLAGS[flag] for flag in missing)
+        needs = " and ".join(_NEEDS_TEXT[flag] for flag in missing)
         raise FragmentMismatch(f"{target.name} compilation needs {needs} formulas")
     if row.shallow and tags.max_modal_depth > 1:
-        raise FragmentMismatch(f"{target.name} compilation needs modal depth <= 1")
+        hint = " (use global-deep for nested top formulas)" if "only_top" in row.needs else ""
+        raise FragmentMismatch(f"{target.name} compilation needs modal depth <= 1{hint}")
     if tags.max_modal_depth == 0:
         net = degenerate_boolean(phi, marked=row.required_class != "any")
     else:

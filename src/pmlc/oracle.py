@@ -13,10 +13,8 @@ from typing import Sequence
 from .graphs import Graph, PointedGraph, neigh
 from .logic import (
     And,
-    Modal,
     Modality,
     Not,
-    PeanoAnd,
     PeanoAtom,
     PeanoFormula,
     PeanoNot,

@@ -129,8 +129,11 @@ def test_compile_report_defaults_to_stdout(tmp_path, capsys):
 
 def test_compile_fragment_mismatch_exits_3(tmp_path, capsys):
     f = write(tmp_path, "f.pml", "<top>{x1 >= 1}(p0)")
-    assert main(["compile", f, "--target", "local-mixed-sum"]) == 3
-    assert "error:" in capsys.readouterr().err
+    out = tmp_path / "f.mpnn"
+    assert main(["compile", f, "--target", "local-mixed-sum", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "error: local-mixed-sum compilation needs edges-only formulas" in err
+    assert not out.exists()
 
 
 def test_compile_unknown_target_exits_2(tmp_path, capsys):
