@@ -82,9 +82,12 @@ _NEEDS_TEXT = dict(
 class TargetKind:
     """One row of the target table.
 
-    ``build(phi, extra, klass, trace_cap)`` compiles a formula that has a
-    modal node and lies in the row's fragment; ``mixed`` kinds take an
-    extra aggregator (sum or max), the others are mean-only.  The layer
+    ``build(phi, extra, klass, trace_cap, flat)`` compiles a formula that
+    has a modal node and lies in the row's fragment; ``flat`` is
+    ``flatten_global(phi)`` on ``flattens`` rows (``compile`` flattens
+    once, for the network and the report note) and None elsewhere.
+    ``mixed`` kinds take an extra aggregator (sum or max), the others are
+    mean-only.  The layer
     budget is ``(budget_kind, a, b)``: ``a*deg + b`` layers, or for the
     nested kinds ``a*md*max(deg, 1) + b`` (the floor covers
     constraint-free formulas, whose pipelines still need their setup and
@@ -95,49 +98,52 @@ class TargetKind:
     ``required_class`` is the graph class the network is sound on.
     """
 
-    build: Callable[[PmlFormula, Optional[Aggregator], str, int], Mpnn]
+    build: Callable[
+        [PmlFormula, Optional[Aggregator], str, int, Optional[PmlFormula]], Mpnn
+    ]
     mixed: bool
     budget: Tuple[str, int, int]
     needs: Tuple[str, ...]
     shallow: bool
     required_class: str
+    flattens: bool = False
 
 
 TARGET_KINDS: Dict[str, TargetKind] = {
     "global-homogeneous": TargetKind(
-        lambda phi, extra, klass, cap: build_global_homogeneous(phi, klass),
+        lambda phi, extra, klass, cap, flat: build_global_homogeneous(phi, klass),
         False, ("exact", 1, 1), ("only_top", "homogeneous"), True, "any",
     ),
     "global-shallow": TargetKind(
-        lambda phi, extra, klass, cap: build_global(phi, klass),
+        lambda phi, extra, klass, cap, flat: build_global(phi, klass),
         False, ("ceiling", 2, 2), ("only_top",), True, "marked",
     ),
     "global-deep": TargetKind(
-        lambda phi, extra, klass, cap: build_global(phi, klass),
-        False, ("ceiling", 2, 2), ("only_top",), False, "marked",
+        lambda phi, extra, klass, cap, flat: build_global(phi, klass, flat),
+        False, ("ceiling", 2, 2), ("only_top",), False, "marked", flattens=True,
     ),
     "local-mean-regular": TargetKind(
-        lambda phi, extra, klass, cap: build_local_mean(phi, klass),
+        lambda phi, extra, klass, cap, flat: build_local_mean(phi, klass),
         False, ("ceiling", 2, 2), ("only_edges",), True, "regular-strong",
     ),
     "local-mixed": TargetKind(
-        lambda phi, extra, klass, cap: build_local_mixed(phi, extra, klass),
+        lambda phi, extra, klass, cap, flat: build_local_mixed(phi, extra, klass),
         True, ("ceiling", 4, 2), ("only_edges",), True, "strong",
     ),
     "shallow-mixed-regular": TargetKind(
-        lambda phi, extra, klass, cap: build_shallow_mixed(phi, extra, klass),
+        lambda phi, extra, klass, cap, flat: build_shallow_mixed(phi, extra, klass),
         False, ("ceiling", 8, 2), (), True, "regular-strong",
     ),
     "shallow-mixed": TargetKind(
-        lambda phi, extra, klass, cap: build_shallow_mixed(phi, extra, klass),
+        lambda phi, extra, klass, cap, flat: build_shallow_mixed(phi, extra, klass),
         True, ("ceiling", 8, 2), (), True, "strong",
     ),
     "nested-mean-regular": TargetKind(
-        build_nested,
+        lambda phi, extra, klass, cap, flat: build_nested(phi, extra, klass, cap),
         False, ("ceiling", 5, 2), ("only_edges",), False, "regular-tree-like",
     ),
     "nested-mixed": TargetKind(
-        build_nested,
+        lambda phi, extra, klass, cap, flat: build_nested(phi, extra, klass, cap),
         True, ("ceiling", 5, 2), ("only_edges",), False, "tree-like",
     ),
 }
@@ -227,10 +233,11 @@ def compile(
     if row.shallow and tags.max_modal_depth > 1:
         hint = " (use global-deep for nested top formulas)" if "only_top" in row.needs else ""
         raise FragmentMismatch(f"{target.name} compilation needs modal depth <= 1{hint}")
+    flat = flatten_global(phi) if row.flattens else None
     if tags.max_modal_depth == 0:
         net = degenerate_boolean(phi, marked=row.required_class != "any")
     else:
-        net = row.build(phi, target.extra, row.required_class, trace_cap)
+        net = row.build(phi, target.extra, row.required_class, trace_cap, flat)
 
     budget_kind, a, b = row.budget
     md, deg = modal_depth(phi), degree(phi)
@@ -240,8 +247,7 @@ def compile(
         raise RuntimeError(f"{target.name}: {layers} layers, {budget_kind} budget {bound}")
 
     notes: List[str] = []
-    if kind == "global-deep":
-        flat = flatten_global(phi)
+    if flat is not None:
         notes.append(
             f"flattened to modal depth {modal_depth(flat)} "
             f"with {len(subformulas_ordered(flat))} subformulas"

@@ -139,13 +139,16 @@ def build_global_homogeneous(phi: PmlFormula, klass: str) -> Mpnn:
 # Global shallow (and deep, via flattening)
 
 
-def build_global(phi: PmlFormula, klass: str) -> Mpnn:
+def build_global(
+    phi: PmlFormula, klass: str, flat: Optional[PmlFormula] = None
+) -> Mpnn:
     """Only-top at any depth, onto marked pointed graphs; e = degree.
 
     The nesting is flattened first (formulas of depth <= 1 come back
     unchanged), so the network only ever evaluates depth-1 modal nodes.
+    ``flat`` is ``flatten_global(phi)`` when the caller already has it.
     """
-    return _global_net(flatten_global(phi), klass, phi)
+    return _global_net(flatten_global(phi) if flat is None else flat, klass, phi)
 
 
 def _global_net(phi: PmlFormula, klass: str, source: PmlFormula) -> Mpnn:

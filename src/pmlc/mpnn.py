@@ -7,11 +7,19 @@ next state is the comb applied to
 
     [previous state || in-aggregate || out-aggregate || global aggregate]
 
-so the comb input width is always four times the state width.  Judgement
-reads the focus node's last state dimension and compares it against the
-recognition value n^(-e): compiled networks either hit it exactly or land
-on exactly 0, and anything else is reported as malformed rather than
-rounded.  Networks carry their own acceptance contract (certainty exponent,
+so the comb input width is always four times the state width.
+
+The evaluator holds each state as integer numerators over one denominator
+and runs each comb's lowered program (``Fnn.program``): it aggregates only
+the dims that program reads, and takes one gcd per node and layer.  Values
+become ``Fraction`` only where the API returns them.  Every comb input is
+nonnegative (labels are 0/1, states are ReLU outputs, and aggregates are
+means, sums or maxima of those), which the programs' copy lanes need.
+
+Judgement reads the focus node's last state dimension and compares it
+against the recognition value n^(-e): compiled networks either hit it
+exactly or land on exactly 0, and anything else is reported as malformed
+rather than rounded.  Networks carry their own acceptance contract (certainty exponent,
 inverted flag, required graph class, mark colour, source formula), so a
 serialized network file is self-describing.
 """
@@ -21,7 +29,8 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from math import lcm
+from typing import Optional, Sequence
 
 from .graphs import (
     Graph,
@@ -37,11 +46,13 @@ from .net import (
     FnnLayer,
     Rational,
     ZERO,
-    fnn_eval,
     format_rational,
     parse_rational,
     rat,
 )
+
+# A state in the evaluator: nonnegative numerators over one denominator.
+State = tuple[list[int], int]
 
 
 class Aggregator(enum.Enum):
@@ -50,26 +61,35 @@ class Aggregator(enum.Enum):
     MAX = "max"
 
 
-def aggregate(
-    a: Aggregator, values: Iterable[Sequence[Rational]], dim: int
-) -> list[Rational]:
-    """Combine a multiset of state vectors; the empty multiset gives zeros."""
-    rows = list(values)
-    for row in rows:
-        if len(row) != dim:
-            raise ValueError(f"expected vectors of length {dim}")
+def aggregate(a: Aggregator, rows: Sequence[State], dims: Sequence[int]) -> State:
+    """Combine a multiset of states at ``dims`` only; the empty multiset
+    gives zeros.
+
+    The rows are brought to the lcm of their denominators, and a mean
+    multiplies it by the row count; nothing is reduced.
+    """
     if not rows:
-        return [ZERO] * dim
-    if a is Aggregator.MAX:
-        return [max(row[i] for row in rows) for i in range(dim)]
-    totals = [ZERO] * dim
-    for row in rows:
-        for i, x in enumerate(row):
-            totals[i] += x
-    if a is Aggregator.SUM:
-        return totals
-    share = rat(1, len(rows))
-    return [t * share for t in totals]
+        return [0] * len(dims), 1
+    den = rows[0][1]
+    try:
+        if all(d == den for _nums, d in rows):
+            vecs = [nums for nums, _d in rows]
+            if a is Aggregator.MAX:
+                out = [max([v[i] for v in vecs]) for i in dims]
+            else:
+                out = [sum([v[i] for v in vecs]) for i in dims]
+        else:
+            den = lcm(*{d for _nums, d in rows})
+            scaled = [(nums, den // d) for nums, d in rows]
+            if a is Aggregator.MAX:
+                out = [max([v[i] * f for v, f in scaled]) for i in dims]
+            else:
+                out = [sum([v[i] * f for v, f in scaled]) for i in dims]
+    except IndexError:
+        raise ValueError(f"a state lacks one of the dims {list(dims)}") from None
+    if a is Aggregator.MEAN:
+        den *= len(rows)
+    return out, den
 
 
 # ---------------------------------------------------------------------------
@@ -169,31 +189,65 @@ class Mpnn:
 # Evaluation
 
 
+def fnn_eval(comb: Fnn, nums: list[int], den: int) -> State:
+    """One node's comb on the inputs its program reads, as numerators over
+    ``den``; the integer form of ``pmlc.net.fnn_eval``."""
+    return comb.program.run(nums, den)
+
+
+def _ports(reads: Sequence[int], width: int) -> list[list[int]]:
+    """The state dims a comb reads on each of its four input ports (self,
+    in, out, glob), in the order of ``reads``."""
+    ports: list[list[int]] = [[], [], [], []]
+    for i in reads:
+        ports[i // width].append(i % width)
+    return ports
+
+
 def _states_after(m: Mpnn, g: Graph, keep_trace: bool):
     if g.colours != m.colours:
         raise ValueError(
             f"graph has {g.colours} colours, network expects {m.colours}"
         )
     nodes = range(g.node_count)
-    states: list[list[Rational]] = [[rat(b) for b in g.labels[v]] for v in nodes]
+    states: list[State] = [(list(g.labels[v]), 1) for v in nodes]
     trace = [states]
     ins = [neigh(g, v, "in") for v in nodes]
     outs = [neigh(g, v, "out") for v in nodes]
     for layer in m.layers:
-        glob = aggregate(layer.glob, states, layer.in_dim)
+        own, in_dims, out_dims, glob_dims = _ports(
+            layer.comb.program.reads, layer.in_dim
+        )
+        glob = aggregate(layer.glob, states, glob_dims) if glob_dims else None
         nxt = []
         for v in nodes:
-            agg_in = aggregate(
-                layer.loc_in, (states[u] for u in ins[v]), layer.in_dim
-            )
-            agg_out = aggregate(
-                layer.loc_out, (states[u] for u in outs[v]), layer.in_dim
-            )
-            nxt.append(fnn_eval(layer.comb, states[v] + agg_in + agg_out + glob))
+            nums, den = states[v]
+            parts = [([nums[i] for i in own], den)]
+            if in_dims:
+                parts.append(
+                    aggregate(layer.loc_in, [states[u] for u in ins[v]], in_dims)
+                )
+            if out_dims:
+                parts.append(
+                    aggregate(layer.loc_out, [states[u] for u in outs[v]], out_dims)
+                )
+            if glob is not None:
+                parts.append(glob)
+            den = lcm(*(d for _x, d in parts))
+            row: list[int] = []
+            for xs, d in parts:
+                row.extend(xs if d == den else [x * (den // d) for x in xs])
+            nxt.append(fnn_eval(layer.comb, row, den))
         states = nxt
         if keep_trace:
             trace.append(states)
-    return trace if keep_trace else states
+    if keep_trace:
+        return [_fractions(table) for table in trace]
+    return _fractions(states)
+
+
+def _fractions(states: list[State]) -> list[list[Rational]]:
+    return [[rat(x, den) for x in nums] for nums, den in states]
 
 
 def mpnn_eval(m: Mpnn, g: Graph) -> list[list[Rational]]:
@@ -363,6 +417,26 @@ def parse_mpnn(text: str) -> Mpnn:
     formula_rest = formula_line[len("formula"):].strip()
     formula_text = None if formula_rest == "-" else formula_rest
     layer_count = _int_field(r.next("layers"), "layers")
+    # One table per parse: a repeated neuron line, term or rational is
+    # parsed once, and the network holds one object for all its copies.
+    shared: dict[str, object] = {}
+
+    def share(text: str, make):
+        value = shared.get(text)
+        if value is None:
+            value = shared[text] = make(text)
+        return value
+
+    def term(text: str) -> tuple[int, Rational]:
+        idx_text, _, num_text = text.partition(":")
+        return int(idx_text), share(num_text, parse_rational)
+
+    def neuron(line: str):
+        parts = line.split()
+        return share(parts[1], parse_rational), tuple(
+            share(w, term) for w in parts[2:]
+        )
+
     layers = []
     dim_rows: list[tuple[str, ...]] = []
     saw_dims = False
@@ -386,16 +460,11 @@ def parse_mpnn(text: str) -> Mpnn:
                 if len(fh) != 3:
                     raise MpnnFormatError(f"malformed fnnlayer line: {fh!r}")
                 input_dim, neuron_count = int(fh[1]), int(fh[2])
-                neurons = []
-                for _ in range(neuron_count):
-                    parts = r.next("neuron").split()
-                    bias = parse_rational(parts[1])
-                    weights = []
-                    for w in parts[2:]:
-                        idx_text, _, num_text = w.partition(":")
-                        weights.append((int(idx_text), parse_rational(num_text)))
-                    neurons.append((bias, tuple(weights)))
-                fls.append(FnnLayer(input_dim, tuple(neurons)))
+                neurons = tuple(
+                    share(r.next("neuron"), neuron)
+                    for _ in range(neuron_count)
+                )
+                fls.append(FnnLayer(input_dim, neurons))
             layers.append(
                 MpnnLayer(Fnn(tuple(fls)), loc_in, loc_out, glob, in_dim, out_dim)
             )

@@ -1,13 +1,17 @@
 """Feedforward ReLU networks over exact rationals, and the circuit builder.
 
-Everything here is exact: weights, biases, and states are rationals
-(gmpy2 when available, stdlib fractions otherwise), so threshold and
-min gadgets hit their target values with zero error — the recognition
-certainty of the compiled networks depends on exact equality at the focus.
+Everything here is exact: weights, biases and values are
+``fractions.Fraction``, so threshold and min gadgets hit their target
+values with zero error — the recognition certainty of the compiled
+networks depends on exact equality at the focus.
 
 The building blocks:
 
 * ``FnnLayer`` / ``Fnn`` — sparse neurons ``relu(bias + sum w_i x_i)``.
+* ``Program`` — an Fnn lowered once (cached as ``Fnn.program``) to integer
+  rows over one denominator.  Identity carries become copy lanes, neurons
+  that feed no output are dropped, and the program records which inputs
+  it reads.  ``fnn_eval`` and the message-passing evaluator both run it.
 * ``Circuit`` — a named-port builder that assembles neurons into one Fnn,
   padding depth mismatches with identity ReLUs (sound because every
   routed value is nonnegative).  It carries the one gadget set the
@@ -17,21 +21,15 @@ The building blocks:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-try:  # pragma: no cover - environment-dependent import
-    from gmpy2 import mpq as _ratctor
-except ImportError:  # pragma: no cover
-    from fractions import Fraction as _ratctor
-
-Rational = type(_ratctor(0))
+Rational = Fraction
 RationalLike = Union[int, Rational]
-
-
-def rat(numerator: RationalLike, denominator: RationalLike = 1) -> Rational:
-    return _ratctor(numerator, denominator)
-
+rat = Fraction
 
 ZERO = rat(0)
 ONE = rat(1)
@@ -95,27 +93,119 @@ class Fnn:
     def output_dim(self) -> int:
         return self.layers[-1].output_dim
 
+    @functools.cached_property
+    def program(self) -> Program:
+        """The lowered program, built on first use and kept with the
+        network (outside equality and hashing)."""
+        return lower(self)
 
-def _layer_eval(layer: FnnLayer, values: Sequence[Rational]) -> list[Rational]:
-    out = []
-    for bias, weights in layer.neurons:
-        acc = bias
-        for idx, w in weights:
-            acc += w * values[idx]
-        out.append(acc if acc > 0 else ZERO)
-    return out
+
+@dataclass(frozen=True)
+class Program:
+    """An Fnn as integer rows over one denominator, for nonnegative inputs.
+
+    Registers ``0 .. len(reads)-1`` hold the inputs listed in ``reads``;
+    row ``k`` writes register ``len(reads) + k``.  Register ``r`` stands
+    for ``regs[r] / (D * scale_r)``, where ``D`` is the denominator the
+    inputs arrive over and ``scale_r`` is a static scale (1 for inputs).
+    A row ``(bias, ((r, c), ...))`` computes ``relu(bias*D + sum c*regs[r])``:
+    ReLU is positively homogeneous, so that is the neuron's value times
+    ``D * scale``.  Output ``j`` is register ``outputs[j]`` times
+    ``multipliers[j]``, which brings every output to the common scale
+    ``scale``.
+    """
+
+    reads: tuple[int, ...]
+    rows: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
+    outputs: tuple[int, ...]
+    multipliers: tuple[int, ...]
+    scale: int
+
+    def run(self, nums: list[int], den: int) -> tuple[list[int], int]:
+        """Outputs for inputs ``nums[i] / den`` (one per entry of
+        ``reads``, all >= 0), as numerators over one denominator, reduced
+        by one gcd.  ``nums`` becomes the register file and is extended."""
+        regs = nums
+        for bias, terms in self.rows:
+            acc = bias * den
+            for r, c in terms:
+                acc += c * regs[r]
+            regs.append(acc if acc > 0 else 0)
+        out = [regs[r] * m for r, m in zip(self.outputs, self.multipliers)]
+        den *= self.scale
+        g = gcd(den, *out)
+        if g > 1:
+            return [x // g for x in out], den // g
+        return out, den
+
+
+def lower(n: Fnn) -> Program:
+    """Lower ``n`` to a Program (see there).
+
+    A neuron that feeds no output is dropped.  An identity carry
+    ``relu(1*x)`` becomes a copy lane: it names its source register
+    instead of taking one, which is exact because every input, and so
+    every value, is nonnegative.  Each remaining neuron gets the least
+    scale that makes its coefficients integers.
+    """
+    live: list[list[int]] = []
+    need = set(range(n.output_dim))
+    for layer in reversed(n.layers):
+        live.append(sorted(need))
+        need = {i for j in need for i, w in layer.neurons[j][1] if w}
+    live.reverse()
+    reads = tuple(sorted(need))
+    reg = {i: r for r, i in enumerate(reads)}
+    scales = [1] * len(reads)
+    rows = []
+    pairs: dict[tuple[int, int], tuple[int, int]] = {}  # one object per term
+    for layer, alive in zip(n.layers, live):
+        nxt = {}
+        for j in alive:
+            bias, weights = layer.neurons[j]
+            merged: dict[int, Rational] = {}
+            for i, w in weights:
+                if w:
+                    merged[reg[i]] = merged.get(reg[i], ZERO) + w
+            merged = {r: w for r, w in merged.items() if w}
+            if bias == 0 and list(merged.values()) == [1]:
+                (nxt[j],) = merged  # copy lane
+                continue
+            terms = [(r, rat(w, scales[r])) for r, w in merged.items()]
+            f = lcm(bias.denominator, *(w.denominator for _r, w in terms))
+            row = [(r, int(w * f)) for r, w in terms]
+            rows.append((int(bias * f), tuple(pairs.setdefault(t, t) for t in row)))
+            nxt[j] = len(scales)
+            scales.append(f)
+        reg = nxt
+    outs = [reg[j] for j in range(n.output_dim)]
+    scale = lcm(*(scales[r] for r in outs))
+    return Program(
+        reads,
+        tuple(rows),
+        tuple(outs),
+        tuple(scale // scales[r] for r in outs),
+        scale,
+    )
 
 
 def fnn_eval(n: Fnn, inputs: Sequence[RationalLike]) -> list[Rational]:
-    """Exact forward pass."""
+    """Exact forward pass.
+
+    Every input must be >= 0 (``Circuit`` networks are only sound there,
+    and the lowered program's copy lanes rely on it); a negative input
+    raises ValueError.
+    """
     if len(inputs) != n.input_dim:
         raise ValueError(
             f"expected {n.input_dim} inputs, got {len(inputs)}"
         )
-    values: list[Rational] = [rat(x) for x in inputs]
-    for layer in n.layers:
-        values = _layer_eval(layer, values)
-    return values
+    if any(x < 0 for x in inputs):
+        raise ValueError("fnn_eval needs nonnegative inputs")
+    read = [inputs[i] for i in n.program.reads]
+    den = lcm(*(x.denominator for x in read))
+    out, den = n.program.run([x.numerator * (den // x.denominator) for x in read], den)
+    return [rat(x, den) for x in out]
 
 
 # ---------------------------------------------------------------------------

@@ -292,6 +292,24 @@ def test_deep_two_level_exhaustive():
     assert checked > 20
 
 
+def test_deep_compile_flattens_once(monkeypatch):
+    import pmlc.compiler.shallow as shallow_mod
+    from pmlc.logic import flatten_global
+
+    calls = []
+
+    def counting(phi):
+        calls.append(phi)
+        return flatten_global(phi)
+
+    monkeypatch.setattr(pmlc.compiler, "flatten_global", counting)
+    monkeypatch.setattr(shallow_mod, "flatten_global", counting)
+    phi = parse_formula("<top>{x1 <= 0}(<top>{x1 >= 1}(p0))")
+    _net, rep = compile(phi, "global-deep")
+    assert calls == [phi]
+    assert any(note.startswith("flattened") for note in rep.notes)
+
+
 def test_deep_random_sweep():
     rng = random.Random("deep-sweep")
     for i in range(25):

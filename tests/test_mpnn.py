@@ -1,5 +1,6 @@
 """Tests for the MPNN model, evaluator, judge, and file format."""
 
+import math
 import random
 
 import pytest
@@ -33,28 +34,52 @@ MEAN, SUM, MAX = Aggregator.MEAN, Aggregator.SUM, Aggregator.MAX
 # Aggregation
 
 
+def _agg(a, rows, dim):
+    """``aggregate`` over all ``dim`` dims of rational rows, read back as
+    rationals; each row becomes numerators over its lcm denominator."""
+    states = []
+    for row in rows:
+        den = math.lcm(*(q.denominator for q in row))
+        states.append(([q.numerator * (den // q.denominator) for q in row], den))
+    nums, den = aggregate(a, states, range(dim))
+    return [rat(x, den) for x in nums]
+
+
 def test_mean_of_two_singletons():
-    assert aggregate(MEAN, [[ONE], [ZERO]], 1) == [rat(1, 2)]
+    assert _agg(MEAN, [[ONE], [ZERO]], 1) == [rat(1, 2)]
 
 
 def test_empty_multiset_gives_zero_vector():
     for a in (MEAN, SUM, MAX):
-        assert aggregate(a, [], 3) == [ZERO, ZERO, ZERO]
+        assert _agg(a, [], 3) == [ZERO, ZERO, ZERO]
 
 
 def test_max_is_dimensionwise():
-    assert aggregate(MAX, [[ONE, ZERO], [ZERO, ONE]], 2) == [ONE, ONE]
+    assert _agg(MAX, [[ONE, ZERO], [ZERO, ONE]], 2) == [ONE, ONE]
 
 
 def test_sum_accumulates_exactly():
     vals = [[rat(1, 3)], [rat(1, 3)], [rat(1, 3)]]
-    assert aggregate(SUM, vals, 1) == [ONE]
-    assert aggregate(MEAN, vals, 1) == [rat(1, 3)]
+    assert _agg(SUM, vals, 1) == [ONE]
+    assert _agg(MEAN, vals, 1) == [rat(1, 3)]
+
+
+def test_aggregate_brings_rows_to_one_denominator():
+    vals = [[rat(1, 2), ONE], [rat(1, 3), ZERO], [rat(3, 4), ZERO]]
+    assert _agg(SUM, vals, 2) == [rat(19, 12), ONE]
+    assert _agg(MEAN, vals, 2) == [rat(19, 36), rat(1, 3)]
+    assert _agg(MAX, vals, 2) == [rat(3, 4), ONE]
+
+
+def test_aggregate_reads_only_the_given_dims():
+    rows = [([1, 5, 2], 3), ([0, 7, 4], 3)]
+    assert aggregate(SUM, rows, [2, 0]) == ([6, 1], 3)
+    assert aggregate(MEAN, rows, [1]) == ([12], 6)
 
 
 def test_aggregate_checks_vector_length():
     with pytest.raises(ValueError):
-        aggregate(SUM, [[ONE, ZERO]], 1)
+        aggregate(SUM, [([1, 0], 1)], range(3))
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +375,24 @@ def test_round_trip_random_networks():
     for _ in range(25):
         net = random_mpnn(rng, rng.randint(1, 3), aggregators=(MEAN, SUM, MAX))
         _round_trip(net)
+
+
+def test_parse_shares_repeated_values():
+    carry = (0, ((0, 1),))
+    layers = tuple(_layer([carry, carry, (rat(1, 2), [(1, rat(1, 2))])], 3, 3) for _ in range(2))
+    net = Mpnn(3, layers, CertaintyDescriptor(0), False, "any")
+    text = _round_trip(net)
+    back = parse_mpnn(text)
+    neurons = [n for layer in back.layers for n in layer.comb.layers[0].neurons]
+    terms = [t for _bias, ws in neurons for t in ws]
+    values = [q for bias, ws in neurons for q in (bias, *(w for _i, w in ws))]
+    # One object per distinct neuron line, term and rational of the file.
+    assert len({id(n) for n in neurons}) == len(set(neurons)) == 2
+    assert len({id(t) for t in terms}) == len(set(terms)) == 2
+    assert len({id(q) for q in values}) == len(set(values)) == 3
+    # Each parse has its own table: nothing is shared between two parses.
+    again = parse_mpnn(text).layers[0].comb.layers[0].neurons[0]
+    assert again == neurons[0] and again is not neurons[0]
 
 
 def test_serialization_tolerates_comments_and_blank_lines():
