@@ -12,12 +12,9 @@ from fractions import Fraction
 import pytest
 
 from pmlc.compiler import ALL_TARGETS, compile
-from pmlc.graphs import Graph, class_instance, gen_pointed, neigh
+from pmlc.graphs import class_instance, gen_pointed, neigh
 from pmlc.mpnn import (
     Aggregator,
-    CertaintyDescriptor,
-    Mpnn,
-    MpnnLayer,
     judge,
     mpnn_eval,
     mpnn_eval_traced,
@@ -145,11 +142,7 @@ def test_program_is_built_once_per_network():
     assert net == _fnn((1, [(1, [(0, 2)])]))
 
 
-def test_evaluator_states_stay_reduced():
-    # Means over 3 neighbours for 4 layers: the denominator stays 3, not 3^4.
-    g = Graph(4, 1, frozenset({(1, 0), (2, 0), (3, 0), (0, 1), (0, 2), (0, 3)}),
-              ((0,), (1,), (1,), (0,)))
-    comb = _fnn((4, [(0, [(1, 1)])]))
-    layer = MpnnLayer(comb, Aggregator.MEAN, Aggregator.MEAN, Aggregator.MEAN, 1, 1)
-    net = Mpnn(1, (layer,) * 4, CertaintyDescriptor(0), False, "any")
-    assert mpnn_eval(net, g) == reference_eval(net, g)[-1]
+def test_program_outputs_are_reduced_by_one_gcd():
+    net = _fnn((2, [(0, [(0, 1)]), (0, [(1, 1)])]))
+    assert net.program.run([6, 9], 12) == ([2, 3], 4)
+    assert net.program.run([0, 0], 12) == ([0, 0], 1)
