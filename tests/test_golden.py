@@ -1,9 +1,11 @@
 """Golden digests: every bank network and report stays byte-identical.
 
 For each (target, bank formula) pair, ``golden_digests.txt`` holds the
-sha256 of ``print_mpnn(net)`` and of ``format_report(report)``.  A change
-to the compilers that alters any network or report fails here; if the
-change is intended, regenerate the file and say why in CHANGES.md:
+sha256 of ``print_mpnn(net)`` and of ``format_report(report)``;
+``golden_extra_digests.txt`` does the same for ``EXTRA``, pairs outside
+the banks that run builder paths no bank formula reaches.  A change to
+the compilers that alters any network or report fails here; if the
+change is intended, regenerate both files and say why in CHANGES.md:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -14,26 +16,41 @@ from pathlib import Path
 import pytest
 
 from pmlc.compiler import ALL_TARGETS, compile, format_report
+from pmlc.logic import parse_formula
 from pmlc.mpnn import print_mpnn
 
 from targets import bank
 
 GOLDEN = Path(__file__).with_name("golden_digests.txt")
+EXTRA_GOLDEN = Path(__file__).with_name("golden_extra_digests.txt")
+
+# (target, formula) pairs for the homogeneous tautology, nested set-up at
+# modal depth 3, and nested skeletons that mix modal and flag leaves.
+EXTRA = (
+    ("global-homogeneous", "<top>{0 <= 0}(p0)"),
+    ("nested-mean-regular", "<out>{x1 >= 1}(<in>{x1 >= 1}(<out>{x1 >= 1}(p0)))"),
+    ("nested-mixed-max", "(p1 & !<out>{x1 >= 1}(<out>{x1 >= 2}(p0)))"),
+    ("nested-mixed-sum", "<out>{x1 >= 1}((p1 & <in>{x1 >= 1}(p0)))"),
+)
 
 
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def _line(name: str, i: int, phi) -> str:
+    net, report = compile(phi, name)
+    return f"{name} {i} {_sha(print_mpnn(net))} {_sha(format_report(report))}"
+
+
 def digests(target) -> list:
     """One ``target index net-sha report-sha`` line per bank formula."""
-    lines = []
-    for i, phi in enumerate(bank(target.name)):
-        net, report = compile(phi, target)
-        lines.append(
-            f"{target.name} {i} {_sha(print_mpnn(net))} {_sha(format_report(report))}"
-        )
-    return lines
+    return [_line(target.name, i, phi) for i, phi in enumerate(bank(target.name))]
+
+
+def extra_digests() -> list:
+    """One ``target index net-sha report-sha`` line per ``EXTRA`` pair."""
+    return [_line(name, i, parse_formula(text)) for i, (name, text) in enumerate(EXTRA)]
 
 
 def _golden() -> dict:
@@ -60,9 +77,21 @@ def test_bank_networks_match_golden_digests(target):
     )
 
 
+def test_extra_networks_match_golden_digests():
+    want = EXTRA_GOLDEN.read_text(encoding="utf-8").splitlines()
+    got = extra_digests()
+    changed = [w.split()[1] for w, g in zip(want, got) if w != g]
+    assert len(got) == len(want) and not changed, (
+        f"extra pairs {changed} compile to different bytes"
+    )
+
+
 if __name__ == "__main__":
     GOLDEN.write_text(
         "".join(line + "\n" for t in ALL_TARGETS for line in digests(t)),
         encoding="utf-8",
     )
-    print(f"wrote {GOLDEN}")
+    EXTRA_GOLDEN.write_text(
+        "".join(line + "\n" for line in extra_digests()), encoding="utf-8"
+    )
+    print(f"wrote {GOLDEN} and {EXTRA_GOLDEN}")
