@@ -22,8 +22,14 @@ import random
 import sys
 from typing import List, Optional
 
-from .compiler import FragmentMismatch, compile as compile_formula, format_report
+from .compiler import (
+    DEFAULT_TRACE_CAP,
+    FragmentMismatch,
+    compile as compile_formula,
+    format_report,
+)
 from .graphs import (
+    DEFAULT_MAX_NODES,
     Graph,
     GraphFormatError,
     PointedGraph,
@@ -240,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True)
     p.add_argument("--out", help="network file (omit to skip writing)")
     p.add_argument("--report", help="report file (default: stdout)")
-    p.add_argument("--trace-cap", type=int, default=8)
+    p.add_argument("--trace-cap", type=int, default=DEFAULT_TRACE_CAP)
     p.set_defaults(func=cmd_compile)
 
     p = sub.add_parser("eval", help="judge a network on a pointed graph")
@@ -266,9 +272,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target")
     p.add_argument("--mpnn", help="judge this network file instead of compiling")
     p.add_argument("--seeds", type=int, default=100, help="instance count")
-    p.add_argument("--max-nodes", type=int, default=8)
+    p.add_argument("--max-nodes", type=int, default=DEFAULT_MAX_NODES)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trace-cap", type=int, default=8)
+    p.add_argument("--trace-cap", type=int, default=DEFAULT_TRACE_CAP)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser(

@@ -62,6 +62,7 @@ __all__ = [
     "Aggregator",
     "CompilationReport",
     "CompilationTarget",
+    "DEFAULT_TRACE_CAP",
     "FragmentMismatch",
     "TARGET_KINDS",
     "TargetKind",
@@ -71,6 +72,8 @@ __all__ = [
     "parse_target",
 ]
 
+# Trace dimensions a nested compilation may use unless the caller says.
+DEFAULT_TRACE_CAP = 8
 _EXTRA_NAME = {Aggregator.SUM: "sum", Aggregator.MAX: "max"}
 # What a fragment mismatch message says about each missing flag.
 _NEEDS_TEXT = dict(
@@ -212,7 +215,7 @@ class CompilationReport:
 def compile(
     phi: PmlFormula,
     target: Union[CompilationTarget, str],
-    trace_cap: int = 8,
+    trace_cap: int = DEFAULT_TRACE_CAP,
 ) -> Tuple[Mpnn, CompilationReport]:
     """Translate ``phi`` for ``target``; check the layer budget; report.
 

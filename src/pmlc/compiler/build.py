@@ -9,7 +9,12 @@ next.  All intermediate values are nonnegative by construction, which is
 what keeps the ReLU identity-carries and the masking gadgets sound.
 
 ``LayerPlan`` is a :class:`~pmlc.net.Circuit`, so every builder uses the
-one gadget set defined there.  Scale conventions used throughout:
+one gadget set defined there.  Every builder starts from one
+``Scaffold``, the part all constructions share: colours and mark colour
+from the target's class, the flag layer and ``mk``, the standing dims
+every later layer re-emits, the verdict layer and the ``n^(-e)``
+contract.  Each monomial pipeline is one ``Stream``, whatever
+modalities its factors count on.  Scale conventions used throughout:
 
 * flags are 0/1; ``mask01(y, flag)`` multiplies a value ``y`` in [0, 1] by
   a 0/1 flag; ``write_flags`` computes the first layer's flags for every
@@ -33,6 +38,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ..logic import (
     And,
     Modal,
+    Modality,
     Not,
     PeanoAnd,
     PeanoAtom,
@@ -67,7 +73,8 @@ class LayerPlan(Circuit):
     """One message-passing layer under construction.
 
     A :class:`Circuit` whose inputs are the 4*D combination ports of the
-    previous layer's D named dimensions.  Outputs are declared in order;
+    previous layer's D named dimensions.  The in and out ports aggregate
+    with ``local``, the global port with mean.  Outputs are declared in order;
     the dimension written last is the network's verdict dimension when
     this is the final layer.
     """
@@ -76,17 +83,13 @@ class LayerPlan(Circuit):
         self,
         builder: "NetBuilder",
         in_names: Sequence[str],
-        loc_in: Aggregator,
-        loc_out: Aggregator,
-        glob: Aggregator,
+        local: Aggregator = Aggregator.MEAN,
     ):
         self.D = len(in_names)
         super().__init__({f"q{i}": i for i in range(4 * self.D)}, width=4 * self.D)
         self._b = builder
         self._index = {nm: i for i, nm in enumerate(in_names)}
-        self.loc_in = loc_in
-        self.loc_out = loc_out
-        self.glob_agg = glob
+        self.local = local
         self._declared: set = set()
 
     # -- ports --------------------------------------------------------
@@ -211,27 +214,18 @@ class NetBuilder:
         self.dim_names: List[Tuple[str, ...]] = []
         self._names: Tuple[str, ...] = tuple(f"c{i}" for i in range(colours))
 
-    @property
-    def names(self) -> Tuple[str, ...]:
-        """Dimension names of the most recent layer (colour bits before
-        the first layer is committed)."""
-        return self._names
-
-    def layer(
-        self,
-        loc_in: Aggregator = Aggregator.MEAN,
-        loc_out: Aggregator = Aggregator.MEAN,
-        glob: Aggregator = Aggregator.MEAN,
-    ) -> LayerPlan:
-        return LayerPlan(self, self._names, loc_in, loc_out, glob)
+    def layer(self, extra: Optional[Aggregator] = None) -> LayerPlan:
+        """A new layer whose in and out ports use ``extra`` (mean when
+        unset); the global port is always mean."""
+        return LayerPlan(self, self._names, Aggregator.MEAN if extra is None else extra)
 
     def _commit(self, plan: LayerPlan, fnn, out_names: Tuple[str, ...]) -> None:
         self.layers.append(
             MpnnLayer(
                 comb=fnn,
-                loc_in=plan.loc_in,
-                loc_out=plan.loc_out,
-                glob=plan.glob_agg,
+                loc_in=plan.local,
+                loc_out=plan.local,
+                glob=Aggregator.MEAN,
                 in_dim=plan.D,
                 out_dim=len(out_names),
             )
@@ -239,23 +233,90 @@ class NetBuilder:
         self._names = out_names
         self.dim_names.append(out_names)
 
-    def finish(
-        self,
-        *,
-        exponent: int,
-        inverted: bool,
-        required_class: str,
-        mark_colour: Optional[int],
-        formula_text: str,
-    ) -> Mpnn:
+
+class Scaffold(NetBuilder):
+    """The network part every construction shares, for one formula.
+
+    The colours are the label bits of ``source`` (``phi`` itself unless
+    ``phi`` is its flattened form) plus, unless the class is ``any``, one
+    colour ``mark`` for the focus mark.  ``flats`` and ``modals`` list
+    ``phi``'s modal-free subformulas and modal nodes in canonical order,
+    and ``names`` names each flag.  ``first`` writes the flags and the mark
+    dim ``mk``; every later ``layer`` re-emits the ``standing`` dims first,
+    and the ``verdict`` layer re-emits nothing.  ``finish`` builds the
+    ``n^(-e)`` contract.
+    """
+
+    def __init__(self, phi: PmlFormula, klass: str, source: Optional[PmlFormula] = None):
+        source = phi if source is None else source
+        base = max_prop(source) + 1
+        self.mark = None if klass == "any" else base
+        super().__init__(base if self.mark is None else base + 1)
+        self.phi = phi
+        self.klass = klass
+        self.text = print_formula(source)
+        subs = subformulas_ordered(phi)
+        self.flats = [s for s in subs if modal_depth(s) == 0]
+        self.modals = [s for s in subs if isinstance(s, Modal)]
+        self.names = {s: f"f{i}" for i, s in enumerate(self.flats)}
+        self.standing: List[str] = []
+
+    @property
+    def mark_bit(self) -> str:
+        return f"c{self.mark}"
+
+    def first(self) -> Tuple[LayerPlan, Dict[PmlFormula, Ref]]:
+        """The first layer, holding every flag and (on marked classes)
+        ``mk``, both standing; also the truth refs ``write_flags`` made."""
+        plan = NetBuilder.layer(self)
+        memo = write_flags(plan, self.flats, self.names)
+        self.standing = [self.names[s] for s in self.flats]
+        if self.mark is not None:
+            self.stand(plan, "mk", plan.prev(self.mark_bit))
+        return plan, memo
+
+    def stand(self, plan: LayerPlan, name: str, ref: Ref) -> None:
+        """Write ``name`` and re-emit it in every later ``layer``."""
+        plan.set(name, ref)
+        self.standing.append(name)
+
+    def layer(self, extra: Optional[Aggregator] = None) -> LayerPlan:
+        plan = super().layer(extra)
+        plan.carry(*self.standing)
+        return plan
+
+    def verdict(self) -> LayerPlan:
+        """The last layer: mean ports, nothing re-emitted."""
+        return NetBuilder.layer(self)
+
+    def check(self, plan: LayerPlan, modal: Callable[[Modal], Ref], scale: Ref) -> None:
+        """Write ``out``: ``phi``'s skeleton at ``scale`` over the modal
+        truths ``modal`` and the lifted flags, masked to the focus."""
+        truth = plan.skeleton_truth(self.phi, self.leaf(plan, modal, scale), scale)
+        plan.set("out", plan.mask01(truth, plan.prev("mk")))
+
+    def leaf(
+        self, plan: LayerPlan, modal: Callable[[Modal], Ref], scale: Ref
+    ) -> Callable[[PmlFormula], Ref]:
+        """Skeleton leaves at ``scale``: ``modal`` for modal nodes, the
+        previous layer's flag lifted to the scale for modal-free ones."""
+
+        def leaf(s: PmlFormula) -> Ref:
+            if isinstance(s, Modal):
+                return modal(s)
+            return plan.flag_at(scale, plan.prev(self.names[s]))
+
+        return leaf
+
+    def finish(self, exponent: int, inverted: bool = False) -> Mpnn:
         return Mpnn(
             colours=self.colours,
             layers=tuple(self.layers),
             certainty=CertaintyDescriptor(exponent),
             inverted=inverted,
-            required_class=required_class,
-            mark_colour=mark_colour,
-            formula_text=formula_text,
+            required_class=self.klass,
+            mark_colour=self.mark,
+            formula_text=self.text,
             dimension_names=tuple(self.dim_names),
         )
 
@@ -264,28 +325,9 @@ class NetBuilder:
 # Shared formula bookkeeping
 
 
-def marked_colours(phi: PmlFormula) -> Tuple[int, int]:
-    """(colour count, mark colour index) with one colour appended for the
-    focus mark."""
-    base = max_prop(phi) + 1
-    return base + 1, base
-
-
 def opposite(direction: str) -> str:
     """The port on which a hop's receiver sees its sender."""
     return "out" if direction == "in" else "in"
-
-
-def split_subformulas(phi: PmlFormula):
-    """(all subformulas, modal-free ones, modal nodes) in canonical order."""
-    subs = subformulas_ordered(phi)
-    flats = [s for s in subs if modal_depth(s) == 0]
-    modals = [s for s in subs if isinstance(s, Modal)]
-    return subs, flats, modals
-
-
-def flat_names(flats: Sequence[PmlFormula]) -> Dict[PmlFormula, str]:
-    return {s: f"f{i}" for i, s in enumerate(flats)}
 
 
 def write_flags(
@@ -339,23 +381,64 @@ class Ledger:
             raise RuntimeError(f"alignment ledger not settled: {self.owed}")
 
 
-def monomial_streams(modals: Sequence[Modal]):
-    """Deterministic (modal index, variable multiset) stream table.
+class Stream:
+    """One monomial's pipeline: the monomial over ``variables`` of modal
+    node ``j``, its accumulator ``dim`` and the ``recv`` dim its pushes
+    land on.  Its factors are split by modality: the children of global
+    factors (``tops``) and identity factors (``ids``), and per edge factor
+    the child and the port, ``in`` or ``out``, it counts on (``edges``).
+    Nested stages keep one copy of each dim per trace class: ``acc(ii)``
+    and ``rcv(ii)``."""
+
+    def __init__(
+        self, dim: str, recv: str, j: int, variables: Tuple[int, ...], chi: Modal
+    ):
+        self.dim = dim
+        self.recv = recv
+        self.j = j
+        self.variables = variables
+        self.tops: List[PmlFormula] = []
+        self.ids: List[PmlFormula] = []
+        self.edges: List[Tuple[PmlFormula, str]] = []
+        for v in variables:
+            child, m = chi.children[v - 1], chi.modalities[v - 1]
+            if m is Modality.TOP:
+                self.tops.append(child)
+            elif m is Modality.ID:
+                self.ids.append(child)
+            else:
+                self.edges.append((child, m.surface))
+
+    def counted(self, direction: str) -> int:
+        """Edge factors counting on port ``direction``."""
+        return sum(1 for _child, d in self.edges if d == direction)
+
+    def acc(self, ii: int) -> str:
+        return f"{self.dim}.{ii}"
+
+    def rcv(self, ii: int) -> str:
+        return f"{self.recv}.{ii}"
+
+
+def streams(modals: Sequence[Modal], dim: str = "a", prefix: str = "") -> List[Stream]:
+    """One ``Stream`` per distinct (modal index, variable multiset), in a
+    deterministic order; stream h has dims ``<dim><prefix>h`` and
+    ``r<prefix>h``.
 
     Monomials repeated across atoms of one modal node share a stream; the
     same multiset under a different modal node does not (its positions may
     carry different modalities or children).
     """
-    streams: List[Tuple[int, Tuple[int, ...]]] = []
+    table: List[Stream] = []
     seen: set = set()
     for j, chi in enumerate(modals):
         for atom in _atoms(chi.constraint):
             for m in atom.monomials:
-                key = (j, m.variables)
-                if key not in seen:
-                    seen.add(key)
-                    streams.append(key)
-    return streams
+                if (j, m.variables) not in seen:
+                    seen.add((j, m.variables))
+                    h = f"{prefix}{len(table)}"
+                    table.append(Stream(f"{dim}{h}", f"r{h}", j, m.variables, chi))
+    return table
 
 
 def _atoms(psi) -> List[PeanoAtom]:
@@ -366,52 +449,12 @@ def _atoms(psi) -> List[PeanoAtom]:
     return _atoms(psi.left) + _atoms(psi.right)
 
 
-class EdgeStream:
-    """One monomial's hop pipeline over edge modalities: its accumulator
-    ``dim``, the ``recv`` dim its pushes land on, and per factor the child
-    and the port (``in`` or ``out``) it counts on.  Nested stages keep one
-    copy of each per trace class: ``acc(ii)`` and ``rcv(ii)``."""
-
-    def __init__(self, name: str, j: int, variables: Tuple[int, ...], chi: Modal):
-        self.dim = f"a{name}"
-        self.recv = f"r{name}"
-        self.j = j
-        self.variables = variables
-        self.children = [chi.children[v - 1] for v in variables]
-        self.dirs = [chi.modalities[v - 1].surface for v in variables]
-        self.deg = len(variables)
-
-    def acc(self, ii: int) -> str:
-        return f"{self.dim}.{ii}"
-
-    def rcv(self, ii: int) -> str:
-        return f"{self.recv}.{ii}"
-
-
-def edge_streams(modals: Sequence[Modal], prefix: str = "") -> List[EdgeStream]:
-    """One ``EdgeStream`` per row of ``monomial_streams(modals)``."""
-    return [
-        EdgeStream(f"{prefix}{h}", j, variables, modals[j])
-        for h, (j, variables) in enumerate(monomial_streams(modals))
-    ]
-
-
 def degenerate_boolean(phi: PmlFormula, marked: bool) -> Mpnn:
     """Single Boolean layer for modal-free formulas: e = 0, not inverted;
     on marked colours and class ``marked``, or on plain colours and class
     ``any``."""
-    colours, mark = marked_colours(phi) if marked else (max_prop(phi) + 1, None)
-    nb = NetBuilder(colours)
-    _subs, flats, _modals = split_subformulas(phi)
-    names = flat_names(flats)
-    plan = nb.layer()
-    memo = write_flags(plan, flats, names)
-    plan.set("out", memo[phi])
+    sc = Scaffold(phi, "marked" if marked else "any")
+    plan = sc.verdict()
+    plan.set("out", write_flags(plan, sc.flats, sc.names)[phi])
     plan.done()
-    return nb.finish(
-        exponent=0,
-        inverted=False,
-        required_class="marked" if marked else "any",
-        mark_colour=mark,
-        formula_text=print_formula(phi),
-    )
+    return sc.finish(0)

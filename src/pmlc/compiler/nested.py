@@ -31,6 +31,12 @@ graph so that every push/pull division is by the same degree; with a
 sum or max aggregator the push arrives undivided (at most one sender
 per class dimension) and only focus-side pulls divide, by the receiving
 node's own degrees.  e = M-1+2KM; the verdict reads n^-e at the focus.
+
+The flags, the mark, the uniforms and the reach dims are the
+``Scaffold``'s standing dims, re-emitted by every layer but the root
+check.  Each of those layers also carries the carrier on while its
+1-based index ``len(layers) + 1`` is below e, and adds a uniform at the
+indices that need one.
 """
 
 from __future__ import annotations
@@ -46,24 +52,18 @@ from ..logic import (
     PmlFormula,
     degree,
     modal_depth,
-    print_formula,
     trace_index,
 )
 from ..mpnn import Aggregator, Mpnn
 from .build import (
-    EdgeStream,
     FragmentMismatch,
     LayerPlan,
     Ledger,
-    NetBuilder,
+    Scaffold,
+    Stream,
     TraceLimitExceeded,
-    edge_streams,
-    flat_names,
-    marked_colours,
-    monomial_streams,
     opposite,
-    split_subformulas,
-    write_flags,
+    streams,
 )
 
 
@@ -115,7 +115,6 @@ def build_nested(
     2^t for t trace chains, so formulas needing more than ``trace_cap``
     chains are rejected.
     """
-    colours, mark = marked_colours(phi)
     M = modal_depth(phi)
     _check_critical(phi, M)
     tidx = tuple(islice(trace_index(phi), trace_cap + 2))
@@ -126,9 +125,7 @@ def build_nested(
     K = degree(phi)
     subsets = range(2 ** len(tidx))
 
-    _subs, flats, _modals = split_subformulas(phi)
-    names = flat_names(flats)
-    flag_dims = [names[s] for s in flats]
+    sc = Scaffold(phi, klass)
 
     # Stage tables: modal nodes of depth `level`, restricted to those the
     # root skeleton actually reaches through counted positions; plus the
@@ -141,7 +138,7 @@ def build_nested(
     for level in range(M, 1, -1):
         refs: List[PmlFormula] = []
         for chi in stage_modals[level]:
-            used = sorted({v for _j, vs in monomial_streams([chi]) for v in vs})
+            used = sorted({v for s in streams([chi]) for v in s.variables})
             for v in used:
                 child = chi.children[v - 1]
                 if modal_depth(child) >= 1 and child not in refs:
@@ -154,11 +151,11 @@ def build_nested(
                     lower.append(chi)
         stage_modals[level - 1] = lower
 
-    streams: Dict[int, List[EdgeStream]] = {}
-    hmap: Dict[int, Dict[Tuple[int, Tuple[int, ...]], EdgeStream]] = {}
+    stage: Dict[int, List[Stream]] = {}
+    hmap: Dict[int, Dict[Tuple[int, Tuple[int, ...]], Stream]] = {}
     for level in range(1, M + 1):
-        streams[level] = edge_streams(stage_modals[level], f"{level}.")
-        hmap[level] = {(s.j, s.variables): s for s in streams[level]}
+        stage[level] = streams(stage_modals[level], "a", f"{level}.")
+        hmap[level] = {(s.j, s.variables): s for s in stage[level]}
 
     zone_len = K if extra is None else max(2 * K - 1, 0)
     total_layers = M + M * (2 * K + zone_len + 1)
@@ -174,10 +171,7 @@ def build_nested(
     if max(needed_u, default=0) >= total_layers:
         raise RuntimeError("uniform scales outlive the network's layers")
 
-    nb = NetBuilder(colours)
-    mark_bit = f"c{mark}"
-    standing: List[str] = []  # dims re-emitted by every maintained layer
-    li = 0  # absolute 1-based index of the layer under construction
+    mark_bit = sc.mark_bit
 
     def sep(plan: LayerPlan, ii: int, x, mk_ref=None):
         """Zero ``x`` at nodes whose trace class is not subset ``ii``.
@@ -212,48 +206,36 @@ def build_nested(
             plan.hop(dim(ii), port, partial(sep, plan, ii))
 
     def open_layer(push: bool = False) -> LayerPlan:
-        nonlocal li
-        li += 1
-        if push and extra is not None:
-            return nb.layer(loc_in=extra, loc_out=extra)
-        return nb.layer()
-
-    def maintain(plan: LayerPlan):
-        """Standing carries plus carrier/uniform bookkeeping for layer li."""
-        plan.carry(*standing)
-        mk = plan.prev("mk")
+        """A layer after the first: the standing dims, then the carrier and
+        uniform bookkeeping for its index; a push layer's in and out ports
+        use the extra aggregator."""
+        li = len(sc.layers) + 1
+        plan = sc.layer(extra if push else None)
         if li < exponent:
-            plan.set("C", plan.mask01(plan.glob("C"), mk))
+            plan.set("C", plan.mask01(plan.glob("C"), plan.prev("mk")))
         if li in needed_u:
-            plan.set(uname(li), plan.relu([(1, plan.glob("C"))]))
-            standing.append(uname(li))
-        return mk
+            sc.stand(plan, uname(li), plan.relu([(1, plan.glob("C"))]))
+        return plan
 
     # Layer 1: flags, mark, carrier; for M >= 2 the first reach dims and
     # uniform, for M = 1 a constant unit dim and the stage-1 seeds.
-    plan = open_layer()
-    write_flags(plan, flats, names)
+    plan, _memo = sc.first()
     mkbit = plan.prev(mark_bit)
-    plan.set("mk", mkbit)
     plan.set("C", plan.mask01(plan.glob(mark_bit), mkbit))
-    standing.extend(flag_dims)
-    standing.append("mk")
     if M >= 2:
-        plan.set(uname(1), plan.relu([(1, plan.glob(mark_bit))]))
-        standing.append(uname(1))
+        sc.stand(plan, uname(1), plan.relu([(1, plan.glob(mark_bit))]))
         for ti, trace in enumerate(tidx):
             if len(trace) == 1:
                 port = opposite(trace[0].surface)
-                plan.set(
+                sc.stand(
+                    plan,
                     f"y{ti}",
                     plan.min_(plan.glob(mark_bit), plan.agg(port, mark_bit)),
                 )
-                standing.append(f"y{ti}")
     else:
         one = plan.relu([], bias=1)
-        plan.set(uname(0), one)
-        standing.append(uname(0))
-        for s in streams[1]:
+        sc.stand(plan, uname(0), one)
+        for s in stage[1]:
             for ii in subsets:
                 plan.set(s.acc(ii), sep(plan, ii, one, mk_ref=mkbit))
         for ii in subsets:
@@ -264,24 +246,22 @@ def build_nested(
     # minimum of the capped carrier mean and the parent dim's directed mean.
     for i in range(2, M):
         plan = open_layer()
-        maintain(plan)
         for ti, trace in enumerate(tidx):
             if len(trace) == i:
                 parent = tidx.index(trace[:-1])
                 port = opposite(trace[-1].surface)
-                plan.set(
+                sc.stand(
+                    plan,
                     f"y{ti}",
                     plan.min_(plan.glob("C"), plan.agg(port, f"y{parent}")),
                 )
-                standing.append(f"y{ti}")
         plan.done()
 
     # Seeding layer: stage-1 accumulators and unit at the uniform scale.
     if M >= 2:
         plan = open_layer()
-        maintain(plan)
         src = plan.prev(uname(M - 1))
-        for s in streams[1]:
+        for s in stage[1]:
             for ii in subsets:
                 plan.set(s.acc(ii), sep(plan, ii, src))
         for ii in subsets:
@@ -289,7 +269,7 @@ def build_nested(
         plan.done()
 
     for level in range(1, M + 1):
-        ss = streams[level]
+        ss = stage[level]
         cbs = stage_children.get(level - 1, [])
         cb_index = {gamma: c for c, gamma in enumerate(cbs)}
         sref_name = uname(e_of(level - 1))
@@ -304,11 +284,11 @@ def build_nested(
         # missing factor; with an extra aggregator only focus-side pulls
         # divide, so a stream owes K per direction less its own factors.
         if extra is None:
-            need = {s.dim: Ledger(ins=K - s.deg) for s in ss}
+            need = {s.dim: Ledger(ins=K - len(s.edges)) for s in ss}
             unit = Ledger(ins=K)
         else:
             need = {
-                s.dim: Ledger(ins=K - s.dirs.count("in"), outs=K - s.dirs.count("out"))
+                s.dim: Ledger(ins=K - s.counted("in"), outs=K - s.counted("out"))
                 for s in ss
             }
             unit = Ledger(ins=K, outs=K)
@@ -322,16 +302,15 @@ def build_nested(
             # Push: each live accumulator travels to the counted
             # neighbourhood and is gated there by the factor child's truth.
             plan = open_layer(push=True)
-            maintain(plan)
             carry_cb(plan)
             sref = plan.prev(sref_name)
             for s in ss:
-                if t <= s.deg:
-                    child, d = s.children[t - 1], s.dirs[t - 1]
+                if t <= len(s.edges):
+                    child, d = s.edges[t - 1]
                     for ii in subsets:
                         raw = plan.agg(opposite(d), s.acc(ii))
                         if modal_depth(child) == 0:
-                            gated = plan.mask01(raw, plan.prev(names[child]))
+                            gated = plan.mask01(raw, plan.prev(sc.names[child]))
                         else:
                             c = cb_index[child]
                             gated = plan.relu(
@@ -361,11 +340,10 @@ def build_nested(
 
             # Pull: collect the gated values back onto the stage sites.
             plan = open_layer()
-            maintain(plan)
             carry_cb(plan)
             for s in ss:
-                if t <= s.deg:
-                    d = s.dirs[t - 1]
+                if t <= len(s.edges):
+                    d = s.edges[t - 1][1]
                     for ii in subsets:
                         plan.set(s.acc(ii), sep(plan, ii, plan.agg(d, s.rcv(ii))))
                 elif extra is None:
@@ -384,7 +362,6 @@ def build_nested(
         # at the stage's common denominator.
         for _zone in range(zone_len):
             plan = open_layer()
-            maintain(plan)
             for s in ss:
                 pull(plan, s.acc, need[s.dim].pay())
             pull(plan, udim, unit.pay())
@@ -394,11 +371,7 @@ def build_nested(
 
         # Check layer: evaluate this stage's constraints at the check scale.
         r2name = uname(e_of(level))
-        if level < M:
-            plan = open_layer()
-            maintain(plan)
-        else:
-            plan = open_layer()
+        plan = open_layer() if level < M else sc.verdict()
         r2 = plan.prev(r2name)
 
         zref = {}
@@ -422,43 +395,25 @@ def build_nested(
         if level < M:
             for c, gamma in enumerate(stage_children[level]):
                 for ii in subsets:
-
-                    def leaf(s, _ii=ii):
-                        if isinstance(s, Modal):
-                            return zref[(s, _ii)]
-                        return plan.flag_at(r2, plan.prev(names[s]))
-
+                    leaf = sc.leaf(plan, lambda chi: zref[(chi, ii)], r2)
                     plan.set(
                         f"cb{level}.{c}.{ii}",
                         sep(plan, ii, plan.skeleton_truth(gamma, leaf, r2)),
                     )
-            for s2 in streams[level + 1]:
+            for s2 in stage[level + 1]:
                 for ii in subsets:
                     plan.set(s2.acc(ii), sep(plan, ii, plan.prev(r2name)))
             for ii in subsets:
                 plan.set(f"U{level + 1}.{ii}", sep(plan, ii, plan.prev(r2name)))
             plan.done()
         else:
-
-            def root_leaf(s):
-                if isinstance(s, Modal):
-                    return plan.sum_of([zref[(s, ii)] for ii in subsets])
-                return plan.flag_at(r2, plan.prev(names[s]))
-
-            plan.set(
-                "out",
-                plan.mask01(plan.skeleton_truth(phi, root_leaf, r2), plan.prev("mk")),
+            sc.check(
+                plan, lambda chi: plan.sum_of([zref[(chi, ii)] for ii in subsets]), r2
             )
             plan.done()
 
-    if not li == total_layers == len(nb.layers):
+    if len(sc.layers) != total_layers:
         raise RuntimeError(
-            f"nested network has {len(nb.layers)} layers, planned {total_layers}"
+            f"nested network has {len(sc.layers)} layers, planned {total_layers}"
         )
-    return nb.finish(
-        exponent=exponent,
-        inverted=False,
-        required_class=klass,
-        mark_colour=mark,
-        formula_text=print_formula(phi),
-    )
+    return sc.finish(exponent)

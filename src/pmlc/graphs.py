@@ -508,8 +508,16 @@ def gen_tree_like(
     raise AssertionError("no tree-like candidate validated")  # pragma: no cover
 
 
+# Largest node count ``class_instance`` draws unless the caller says.
+DEFAULT_MAX_NODES = 8
+
+
 def class_instance(
-    tag: str, seed: int, rng: random.Random, phi: PmlFormula, max_nodes: int = 8
+    tag: str,
+    seed: int,
+    rng: random.Random,
+    phi: PmlFormula,
+    max_nodes: int = DEFAULT_MAX_NODES,
 ) -> PointedGraph:
     """One member of the graph class named by a class tag, sized for ``phi``.
 

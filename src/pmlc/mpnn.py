@@ -396,6 +396,13 @@ def _int_field(line: str, name: str) -> int:
         raise MpnnFormatError(f"bad integer in {line!r}") from exc
 
 
+def _count(value: int, what: str) -> int:
+    """``value`` if it is a valid count (nonnegative)."""
+    if value < 0:
+        raise MpnnFormatError(f"negative {what}: {value}")
+    return value
+
+
 def parse_mpnn(text: str) -> Mpnn:
     r = _LineReader(text)
     if r.next() != "mpnn":
@@ -412,11 +419,14 @@ def parse_mpnn(text: str) -> Mpnn:
     mark_line = r.next("markcolour").split()
     if len(mark_line) != 2:
         raise MpnnFormatError("malformed markcolour line")
-    mark_colour = None if mark_line[1] == "-" else int(mark_line[1])
+    try:
+        mark_colour = None if mark_line[1] == "-" else int(mark_line[1])
+    except ValueError as exc:
+        raise MpnnFormatError(f"bad mark colour {mark_line[1]!r}") from exc
     formula_line = r.next("formula")
     formula_rest = formula_line[len("formula"):].strip()
     formula_text = None if formula_rest == "-" else formula_rest
-    layer_count = _int_field(r.next("layers"), "layers")
+    layer_count = _count(_int_field(r.next("layers"), "layers"), "layer count")
     # One table per parse: a repeated neuron line, term or rational is
     # parsed once, and the network holds one object for all its copies.
     shared: dict[str, object] = {}
@@ -459,7 +469,8 @@ def parse_mpnn(text: str) -> Mpnn:
                 fh = r.next("fnnlayer").split()
                 if len(fh) != 3:
                     raise MpnnFormatError(f"malformed fnnlayer line: {fh!r}")
-                input_dim, neuron_count = int(fh[1]), int(fh[2])
+                input_dim = int(fh[1])
+                neuron_count = _count(int(fh[2]), "neuron count")
                 neurons = tuple(
                     share(r.next("neuron"), neuron)
                     for _ in range(neuron_count)

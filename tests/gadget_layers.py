@@ -7,9 +7,6 @@ input is the combination layout [state, in-agg, out-agg, global-agg];
 """
 
 from pmlc.compiler.build import LayerPlan, NetBuilder, write_flags
-from pmlc.mpnn import Aggregator
-
-MEAN = Aggregator.MEAN
 
 
 def layer_inputs(state):
@@ -32,7 +29,7 @@ def atom_check_layer(atom):
     output is the atom's truth at scale ``R2``.
     """
     names = [f"m{h}" for h in range(len(atom.monomials))] + ["U", "R2"]
-    plan = LayerPlan(NetBuilder(1), names, MEAN, MEAN, MEAN)
+    plan = LayerPlan(NetBuilder(1), names)
     dims = {m.variables: plan.prev(f"m{h}") for h, m in enumerate(atom.monomials)}
     plan.set(
         "out",

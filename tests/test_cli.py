@@ -4,8 +4,10 @@ import time
 
 import pytest
 
-from pmlc.cli import main
+from pmlc.cli import build_parser, main
+from pmlc.compiler import DEFAULT_TRACE_CAP
 from pmlc.graphs import (
+    DEFAULT_MAX_NODES,
     Graph,
     PointedGraph,
     check_tree_like,
@@ -74,6 +76,14 @@ def test_formula_at_the_nesting_bound_runs_end_to_end(tmp_path, capsys):
     assert main(["eval", out, g]) == 0
     assert main(["verify", f, "--target", "global-shallow", "--seeds", "3"]) == 0
     assert "error" not in capsys.readouterr().err
+
+
+def test_cli_defaults_are_the_library_defaults():
+    parser = build_parser()
+    compiled_args = parser.parse_args(["compile", "f", "--target", "global-shallow"])
+    verify_args = parser.parse_args(["verify", "f"])
+    assert compiled_args.trace_cap == verify_args.trace_cap == DEFAULT_TRACE_CAP == 8
+    assert verify_args.max_nodes == DEFAULT_MAX_NODES == 8
 
 
 def test_missing_file_is_a_usage_error(tmp_path, capsys):
@@ -226,6 +236,16 @@ def test_eval_rejects_corrupt_network_file(tmp_path, capsys):
     bad = write(tmp_path, "bad.mpnn", text)
     g = graph_file(tmp_path, "g.graph", 1, 2, [], [(1, 1)])
     assert main(["eval", bad, g]) == 2
+
+
+def test_eval_rejects_a_negative_layer_count(tmp_path, capsys):
+    net = compiled(tmp_path, "p0", "global-shallow")
+    text = open(net).read()
+    header = text[: text.index("layers ")]
+    bad = write(tmp_path, "bad.mpnn", header + "layers -1\nend\n")
+    g = graph_file(tmp_path, "g.graph", 1, 2, [], [(1, 1)])
+    assert main(["eval", bad, g]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,57 @@
+"""Source hygiene over ``src/pmlc``, checked with the standard ``ast``.
+
+No module holds an ``assert`` statement: invariants must survive
+``python -O``, so they are explicit raises.  No module imports a name it
+never uses.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "pmlc"
+MODULES = sorted(SRC.rglob("*.py"))
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _exported(tree: ast.Module) -> set:
+    """The string entries of a module-level ``__all__`` list or tuple."""
+    names: set = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            names.update(
+                e.value for e in node.value.elts if isinstance(e, ast.Constant)
+            )
+    return names
+
+
+def test_the_walk_sees_the_package():
+    assert SRC / "compiler" / "build.py" in MODULES
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
+def test_no_assert_statements(path):
+    lines = [n.lineno for n in ast.walk(_tree(path)) if isinstance(n, ast.Assert)]
+    assert not lines, f"{path.name}: assert at lines {lines}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
+def test_no_unused_imports(path):
+    tree = _tree(path)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    unused = sorted(set(imported) - used - _exported(tree))
+    assert not unused, f"{path.name}: unused imports {unused}"

@@ -418,6 +418,27 @@ def test_serialization_rejects_mangled_input(mangle):
         parse_mpnn(mangle(text))
 
 
+def test_parse_rejects_a_negative_layer_count():
+    empty = Mpnn(1, (), CertaintyDescriptor(0), False, "any")
+    assert parse_mpnn(print_mpnn(empty)) == empty
+    with pytest.raises(MpnnFormatError, match="negative layer count"):
+        parse_mpnn(print_mpnn(empty).replace("layers 0", "layers -1"))
+
+
+def test_parse_rejects_a_negative_neuron_count():
+    text = print_mpnn(_global_mean_net())
+    line = next(x for x in text.splitlines() if x.startswith("fnnlayer"))
+    bad = text.replace(line + "\n", line.rsplit(" ", 1)[0] + " -1\n", 1)
+    with pytest.raises(MpnnFormatError, match="negative neuron count"):
+        parse_mpnn(bad)
+
+
+def test_parse_rejects_a_non_integer_mark_colour():
+    text = print_mpnn(_global_mean_net())
+    with pytest.raises(MpnnFormatError, match="bad mark colour"):
+        parse_mpnn(text.replace("markcolour -", "markcolour x"))
+
+
 # ---------------------------------------------------------------------------
 # Invariance properties
 
