@@ -104,12 +104,6 @@ class LayerPlan(Circuit):
     def prev(self, name: str) -> Ref:
         return self._port(0, name)
 
-    def agg_in(self, name: str) -> Ref:
-        return self._port(1, name)
-
-    def agg_out(self, name: str) -> Ref:
-        return self._port(2, name)
-
     def glob(self, name: str) -> Ref:
         return self._port(3, name)
 
@@ -239,7 +233,7 @@ class Scaffold(NetBuilder):
 
     The colours are the label bits of ``source`` (``phi`` itself unless
     ``phi`` is its flattened form) plus, unless the class is ``any``, one
-    colour ``mark`` for the focus mark.  ``flats`` and ``modals`` list
+    colour ``mark`` (label bit ``mark_bit``) for the focus mark.  ``flats`` and ``modals`` list
     ``phi``'s modal-free subformulas and modal nodes in canonical order,
     and ``names`` names each flag.  ``first`` writes the flags and the mark
     dim ``mk``; every later ``layer`` re-emits the ``standing`` dims first,
@@ -247,10 +241,13 @@ class Scaffold(NetBuilder):
     ``n^(-e)`` contract.
     """
 
-    def __init__(self, phi: PmlFormula, klass: str, source: Optional[PmlFormula] = None):
+    def __init__(
+        self, phi: PmlFormula, klass: str, source: Optional[PmlFormula] = None
+    ):
         source = phi if source is None else source
         base = max_prop(source) + 1
         self.mark = None if klass == "any" else base
+        self.mark_bit = f"c{self.mark}"
         super().__init__(base if self.mark is None else base + 1)
         self.phi = phi
         self.klass = klass
@@ -260,10 +257,6 @@ class Scaffold(NetBuilder):
         self.modals = [s for s in subs if isinstance(s, Modal)]
         self.names = {s: f"f{i}" for i, s in enumerate(self.flats)}
         self.standing: List[str] = []
-
-    @property
-    def mark_bit(self) -> str:
-        return f"c{self.mark}"
 
     def first(self) -> Tuple[LayerPlan, Dict[PmlFormula, Ref]]:
         """The first layer, holding every flag and (on marked classes)

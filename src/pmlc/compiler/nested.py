@@ -171,8 +171,6 @@ def build_nested(
     if max(needed_u, default=0) >= total_layers:
         raise RuntimeError("uniform scales outlive the network's layers")
 
-    mark_bit = sc.mark_bit
-
     def sep(plan: LayerPlan, ii: int, x, mk_ref=None):
         """Zero ``x`` at nodes whose trace class is not subset ``ii``.
 
@@ -220,17 +218,17 @@ def build_nested(
     # Layer 1: flags, mark, carrier; for M >= 2 the first reach dims and
     # uniform, for M = 1 a constant unit dim and the stage-1 seeds.
     plan, _memo = sc.first()
-    mkbit = plan.prev(mark_bit)
-    plan.set("C", plan.mask01(plan.glob(mark_bit), mkbit))
+    mkbit = plan.prev(sc.mark_bit)
+    plan.set("C", plan.mask01(plan.glob(sc.mark_bit), mkbit))
     if M >= 2:
-        sc.stand(plan, uname(1), plan.relu([(1, plan.glob(mark_bit))]))
+        sc.stand(plan, uname(1), plan.relu([(1, plan.glob(sc.mark_bit))]))
         for ti, trace in enumerate(tidx):
             if len(trace) == 1:
                 port = opposite(trace[0].surface)
                 sc.stand(
                     plan,
                     f"y{ti}",
-                    plan.min_(plan.glob(mark_bit), plan.agg(port, mark_bit)),
+                    plan.min_(plan.glob(sc.mark_bit), plan.agg(port, sc.mark_bit)),
                 )
     else:
         one = plan.relu([], bias=1)
@@ -327,13 +325,13 @@ def build_nested(
                             # Idle round trip, first half: park the value on
                             # the in-neighbourhood (one regular division).
                             plan.set(
-                                s.rcv(ii), plan.relu([(1, plan.agg_in(s.acc(ii)))])
+                                s.rcv(ii), plan.relu([(1, plan.agg("in", s.acc(ii)))])
                             )
                         else:
                             plan.carry(s.acc(ii))
             for ii in subsets:
                 if extra is None:
-                    plan.set(vdim(ii), plan.relu([(1, plan.agg_in(udim(ii)))]))
+                    plan.set(vdim(ii), plan.relu([(1, plan.agg("in", udim(ii)))]))
                 else:
                     plan.carry(udim(ii))
             plan.done()
@@ -348,12 +346,12 @@ def build_nested(
                         plan.set(s.acc(ii), sep(plan, ii, plan.agg(d, s.rcv(ii))))
                 elif extra is None:
                     for ii in subsets:
-                        plan.set(s.acc(ii), sep(plan, ii, plan.agg_out(s.rcv(ii))))
+                        plan.set(s.acc(ii), sep(plan, ii, plan.agg("out", s.rcv(ii))))
                 else:
                     pull(plan, s.acc, need[s.dim].pay())
             if extra is None:
                 for ii in subsets:
-                    plan.set(udim(ii), sep(plan, ii, plan.agg_out(vdim(ii))))
+                    plan.set(udim(ii), sep(plan, ii, plan.agg("out", vdim(ii))))
             else:
                 pull(plan, udim, unit.pay())
             plan.done()

@@ -89,7 +89,18 @@ def build_global_homogeneous(phi: PmlFormula, klass: str) -> Mpnn:
     # The atom's monomials have distinct variable multisets, so stream h
     # is monomial h.
     ss = streams(sc.modals, "z")
-    _global_cascade(sc, ss, k)
+    plan, memo = sc.first()
+    for s in ss:
+        plan.set(s.dim, memo[s.tops[0]])
+    plan.done()
+
+    for t in range(2, k + 1):
+        plan = sc.layer()
+        for s in ss:
+            gate = plan.prev(sc.names[s.tops[t - 1]])
+            plan.set(s.dim, plan.mask01(plan.glob(s.dim), gate))
+        plan.done()
+
     plan = sc.verdict()
     plan.set(
         "out",
@@ -116,32 +127,6 @@ def build_global(
     return _global_net(Scaffold(flat, klass, phi))
 
 
-def _global_cascade(sc: Scaffold, ss: List[Stream], K: int) -> None:
-    """Layers 1..K of gated global means.
-
-    Layer 1 starts each stream at its first factor's child flag; layer t
-    takes the stream's global mean and gates it by its t-th factor's
-    child flag, or by the mark once it has no factor left.  On marked
-    classes the unit ``U`` follows the same cascade from the mark bit.
-    """
-    plan, memo = sc.first()
-    unit = bool(ss) and sc.mark is not None
-    for s in ss:
-        plan.set(s.dim, memo[s.tops[0]])
-    if unit:
-        plan.set("U", plan.prev(sc.mark_bit))
-    plan.done()
-
-    for t in range(2, K + 1):
-        plan = sc.layer()
-        for s in ss:
-            gate = sc.names[s.tops[t - 1]] if len(s.tops) >= t else "mk"
-            plan.set(s.dim, plan.mask01(plan.glob(s.dim), plan.prev(gate)))
-        if unit:
-            plan.set("U", plan.mask01(plan.glob("U"), plan.prev("mk")))
-        plan.done()
-
-
 def _global_net(sc: Scaffold) -> Mpnn:
     """Depth-1 compilation of ``sc.phi`` with gated global means.
 
@@ -151,7 +136,25 @@ def _global_net(sc: Scaffold) -> Mpnn:
     """
     K = degree(sc.phi)
     ss = streams(sc.modals, "z")
-    _global_cascade(sc, ss, K)
+    plan, memo = sc.first()
+    if K >= 1:
+        for s in ss:
+            plan.set(s.dim, memo[s.tops[0]])
+        plan.set("U", plan.prev(sc.mark_bit))
+    plan.done()
+
+    for t in range(2, K + 1):
+        plan = sc.layer()
+        mk = plan.prev("mk")
+        for s in ss:
+            if len(s.tops) >= t:
+                gate = plan.prev(sc.names[s.tops[t - 1]])
+            else:
+                gate = mk
+            plan.set(s.dim, plan.mask01(plan.glob(s.dim), gate))
+        plan.set("U", plan.mask01(plan.glob("U"), mk))
+        plan.done()
+
     plan = sc.verdict()
     uref = plan.glob("U") if K >= 1 else plan.prev("mk")
     _check_layer(plan, sc, ss, plan.glob, uref, uref)
@@ -210,7 +213,7 @@ def _first_hop(sc: Scaffold, ss: List[Stream]) -> None:
     for s in ss:
         child, d = s.edges[0]
         plan.set(s.dim, plan.mask01(plan.agg(d, sc.names[child]), mk))
-    plan.set("U", plan.mask01(plan.agg_in("mk"), mk))
+    plan.set("U", plan.mask01(plan.agg("in", "mk"), mk))
     plan.set("R2", plan.mask01(plan.glob("mk"), mk))
     plan.done()
 
@@ -264,8 +267,8 @@ def build_local_mean(phi: PmlFormula, klass: str) -> Mpnn:
                 pushed = plan.agg(opposite(d), s.dim)
                 plan.set(s.recv, plan.mask01(pushed, plan.prev(sc.names[child])))
             else:
-                plan.set(s.dim, plan.mask01(plan.agg_in(s.dim), mk))
-        plan.set("U", plan.mask01(plan.agg_in("U"), mk))
+                plan.set(s.dim, plan.mask01(plan.agg("in", s.dim), mk))
+        plan.set("U", plan.mask01(plan.agg("in", "U"), mk))
         plan.set("R2", plan.mask01(plan.glob("R2"), mk))
         plan.done()
 
@@ -276,8 +279,8 @@ def build_local_mean(phi: PmlFormula, klass: str) -> Mpnn:
             if len(s.edges) >= t:
                 plan.set(s.dim, plan.mask01(plan.agg(s.edges[t - 1][1], s.recv), mk))
             else:
-                plan.set(s.dim, plan.mask01(plan.agg_out(s.dim), mk))
-        plan.set("U", plan.mask01(plan.agg_out("U"), mk))
+                plan.set(s.dim, plan.mask01(plan.agg("out", s.dim), mk))
+        plan.set("U", plan.mask01(plan.agg("out", "U"), mk))
         plan.set("R2", plan.mask01(plan.glob("R2"), mk))
         plan.done()
 
@@ -287,7 +290,7 @@ def build_local_mean(phi: PmlFormula, klass: str) -> Mpnn:
     mk = plan.prev("mk")
     for s in ss:
         plan.set(s.dim, plan.mask01(plan.agg(opposite(s.edges[0][1]), s.dim), mk))
-    plan.set("U", plan.mask01(plan.agg_out("U"), mk))
+    plan.set("U", plan.mask01(plan.agg("out", "U"), mk))
     plan.set("R2", plan.mask01(plan.glob("R2"), mk))
     plan.done()
     return _focus_verdict(sc, ss, 2 * K)

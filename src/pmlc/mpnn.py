@@ -396,13 +396,6 @@ def _int_field(line: str, name: str) -> int:
         raise MpnnFormatError(f"bad integer in {line!r}") from exc
 
 
-def _count(value: int, what: str) -> int:
-    """``value`` if it is a valid count (nonnegative)."""
-    if value < 0:
-        raise MpnnFormatError(f"negative {what}: {value}")
-    return value
-
-
 def parse_mpnn(text: str) -> Mpnn:
     r = _LineReader(text)
     if r.next() != "mpnn":
@@ -426,7 +419,9 @@ def parse_mpnn(text: str) -> Mpnn:
     formula_line = r.next("formula")
     formula_rest = formula_line[len("formula"):].strip()
     formula_text = None if formula_rest == "-" else formula_rest
-    layer_count = _count(_int_field(r.next("layers"), "layers"), "layer count")
+    layer_count = _int_field(r.next("layers"), "layers")
+    if layer_count < 0:
+        raise MpnnFormatError(f"negative layer count {layer_count}")
     # One table per parse: a repeated neuron line, term or rational is
     # parsed once, and the network holds one object for all its copies.
     shared: dict[str, object] = {}
@@ -469,8 +464,9 @@ def parse_mpnn(text: str) -> Mpnn:
                 fh = r.next("fnnlayer").split()
                 if len(fh) != 3:
                     raise MpnnFormatError(f"malformed fnnlayer line: {fh!r}")
-                input_dim = int(fh[1])
-                neuron_count = _count(int(fh[2]), "neuron count")
+                input_dim, neuron_count = int(fh[1]), int(fh[2])
+                if neuron_count < 0:
+                    raise MpnnFormatError(f"negative neuron count {neuron_count}")
                 neurons = tuple(
                     share(r.next("neuron"), neuron)
                     for _ in range(neuron_count)
