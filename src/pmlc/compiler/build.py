@@ -233,12 +233,12 @@ class Scaffold(NetBuilder):
 
     The colours are the label bits of ``source`` (``phi`` itself unless
     ``phi`` is its flattened form) plus, unless the class is ``any``, one
-    colour ``mark`` (label bit ``mark_bit``) for the focus mark.  ``flats`` and ``modals`` list
-    ``phi``'s modal-free subformulas and modal nodes in canonical order,
-    and ``names`` names each flag.  ``first`` writes the flags and the mark
-    dim ``mk``; every later ``layer`` re-emits the ``standing`` dims first,
-    and the ``verdict`` layer re-emits nothing.  ``finish`` builds the
-    ``n^(-e)`` contract.
+    colour ``mark`` (label bit ``mark_bit``) for the focus mark.  ``flats``
+    and ``modals`` list ``phi``'s modal-free subformulas and modal nodes in
+    canonical order, and ``names`` names each flag.  ``first`` writes the
+    flags and the mark dim ``mk``; every later ``layer`` re-emits the
+    ``standing`` dims first, and the ``verdict`` layer re-emits nothing.
+    ``finish`` builds the ``n^(-e)`` contract.
     """
 
     def __init__(
