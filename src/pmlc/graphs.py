@@ -142,22 +142,6 @@ def _traces_reaching(
     return frozenset(t for t, nodes in reach.items() if len(t) <= level and u in nodes)
 
 
-def trace_set(
-    phi: PmlFormula, pg: PointedGraph, u: int, i: int
-) -> frozenset[tuple[Modality, ...]]:
-    """Traces of length <= i realized by a walk from the focus to ``u``.
-
-    The empty trace is realized exactly by the zero-length walk, i.e. it is
-    in the set iff ``u`` is the focus.
-    """
-    if not 0 <= i <= modal_depth(phi):
-        raise ValueError("trace-set level exceeds the modal depth")
-    if not 0 <= u < pg.graph.node_count:
-        raise ValueError("node out of range")
-    reach, _ = _reach_maps(phi, pg, i)
-    return _traces_reaching(reach, u, i)
-
-
 @dataclass(frozen=True)
 class TreeLikeWitness:
     """Why a pointed graph fails the tree-like check.

@@ -262,11 +262,6 @@ def peano_arity(psi: PeanoFormula) -> int:
     return psi.arity
 
 
-def peano_degree(psi: PeanoFormula) -> int:
-    """Maximum monomial degree of ``psi`` (0 for constant constraints)."""
-    return psi.degree
-
-
 # ---------------------------------------------------------------------------
 # Normalization
 

@@ -9,12 +9,14 @@ next state is the comb applied to
 
 so the comb input width is always four times the state width.
 
-The evaluator holds each state as integer numerators over one denominator
-and runs each comb's lowered program (``Fnn.program``): it aggregates only
-the dims that program reads, and takes one gcd per node and layer.  Values
-become ``Fraction`` only where the API returns them.  Every comb input is
-nonnegative (labels are 0/1, states are ReLU outputs, and aggregates are
-means, sums or maxima of those), which the programs' copy lanes need.
+The evaluator holds a layer's state as columns, one per state dim: the
+integer numerators of that dim at every node over one denominator.  Each
+comb's lowered program (``Fnn.program``) runs once per layer over all
+nodes; only the dims it reads are aggregated, one column per port dim, and
+each new column is reduced by one gcd.  Values become ``Fraction`` only
+where the API returns them.  Every comb input is nonnegative (labels are
+0/1, states are ReLU outputs, and aggregates are means, sums or maxima of
+those), which the programs' copy lanes need.
 
 Judgement reads the focus node's last state dimension and compares it
 against the recognition value n^(-e): compiled networks either hit it
@@ -27,6 +29,7 @@ serialized network file is self-describing.
 from __future__ import annotations
 
 import enum
+import functools
 import random
 from dataclasses import dataclass
 from math import lcm
@@ -41,7 +44,9 @@ from .graphs import (
     is_strongly_marked,
     neigh,
 )
+from .logic import PmlFormula, parse_formula
 from .net import (
+    Column,
     Fnn,
     FnnLayer,
     Rational,
@@ -51,45 +56,52 @@ from .net import (
     rat,
 )
 
-# A state in the evaluator: nonnegative numerators over one denominator.
-State = tuple[list[int], int]
-
-
 class Aggregator(enum.Enum):
     MEAN = "mean"
     SUM = "sum"
     MAX = "max"
 
 
-def aggregate(a: Aggregator, rows: Sequence[State], dims: Sequence[int]) -> State:
-    """Combine a multiset of states at ``dims`` only; the empty multiset
-    gives zeros.
+def mean_scale(groups: Sequence[Sequence[int]]) -> tuple[int, Optional[list[int]]]:
+    """``(L, factors)`` for means over ``groups``: ``L`` is the lcm of the
+    nonzero group sizes, and ``factors[k]`` is ``L // len(groups[k])``
+    (0 for an empty group), or None when all nonzero sizes are equal."""
+    sizes = [len(grp) for grp in groups]
+    distinct = set(sizes)
+    distinct.discard(0)
+    top = lcm(*distinct)
+    if len(distinct) <= 1:
+        return top, None
+    return top, [top // k if k else 0 for k in sizes]
 
-    The rows are brought to the lcm of their denominators, and a mean
-    multiplies it by the row count; nothing is reduced.
+
+def aggregate(
+    a: Aggregator,
+    col: Column,
+    groups: Sequence[Sequence[int]],
+    scale: Optional[tuple[int, Optional[list[int]]]] = None,
+) -> Column:
+    """Combine the column ``col`` over each group of nodes: one numerator
+    per group, over one denominator.  An empty group gives 0.
+
+    Sums and maxima keep the column's denominator ``d``.  A mean has the
+    denominator ``d * L`` and scales group ``k`` by ``L / len(groups[k])``
+    (see ``mean_scale``; pass its result as ``scale`` to reuse it).
     """
-    if not rows:
-        return [0] * len(dims), 1
-    den = rows[0][1]
+    nums, den = col
+    at = nums.__getitem__
     try:
-        if all(d == den for _nums, d in rows):
-            vecs = [nums for nums, _d in rows]
-            if a is Aggregator.MAX:
-                out = [max([v[i] for v in vecs]) for i in dims]
-            else:
-                out = [sum([v[i] for v in vecs]) for i in dims]
-        else:
-            den = lcm(*{d for _nums, d in rows})
-            scaled = [(nums, den // d) for nums, d in rows]
-            if a is Aggregator.MAX:
-                out = [max([v[i] * f for v, f in scaled]) for i in dims]
-            else:
-                out = [sum([v[i] * f for v, f in scaled]) for i in dims]
+        if a is Aggregator.MAX:
+            return [max(map(at, grp), default=0) for grp in groups], den
+        sums = [sum(map(at, grp)) for grp in groups]
     except IndexError:
-        raise ValueError(f"a state lacks one of the dims {list(dims)}") from None
-    if a is Aggregator.MEAN:
-        den *= len(rows)
-    return out, den
+        raise ValueError("a group names a node the column lacks") from None
+    if a is Aggregator.SUM:
+        return sums, den
+    top, factors = mean_scale(groups) if scale is None else scale
+    if factors is not None:
+        sums = [x * f for x, f in zip(sums, factors)]
+    return sums, den * top
 
 
 # ---------------------------------------------------------------------------
@@ -184,80 +196,79 @@ class Mpnn:
     def output_dim(self) -> int:
         return self.layers[-1].out_dim if self.layers else self.colours
 
+    @functools.cached_property
+    def formula(self) -> Optional[PmlFormula]:
+        """The parsed source formula, parsed on first use and kept with the
+        network (outside equality and hashing)."""
+        return None if self.formula_text is None else parse_formula(self.formula_text)
+
 
 # ---------------------------------------------------------------------------
 # Evaluation
 
 
-def fnn_eval(comb: Fnn, nums: list[int], den: int) -> State:
-    """One node's comb on the inputs its program reads, as numerators over
-    ``den``; the integer form of ``pmlc.net.fnn_eval``."""
-    return comb.program.run(nums, den)
+def fnn_eval(comb: Fnn, cols: Sequence[Column], n: int) -> list[Column]:
+    """One layer's comb over all ``n`` nodes, on the columns its program
+    reads; the column form of ``pmlc.net.fnn_eval``."""
+    return comb.program.run(cols, n)
 
 
-def _ports(reads: Sequence[int], width: int) -> list[list[int]]:
-    """The state dims a comb reads on each of its four input ports (self,
-    in, out, glob), in the order of ``reads``."""
-    ports: list[list[int]] = [[], [], [], []]
-    for i in reads:
-        ports[i // width].append(i % width)
-    return ports
-
-
-def _states_after(m: Mpnn, g: Graph, keep_trace: bool):
+def _states_after(m: Mpnn, g: Graph, keep_trace: bool) -> list[list[Column]]:
+    """The column tables from the labels to the last layer, or only the
+    last one unless ``keep_trace``."""
     if g.colours != m.colours:
         raise ValueError(
             f"graph has {g.colours} colours, network expects {m.colours}"
         )
-    nodes = range(g.node_count)
-    states: list[State] = [(list(g.labels[v]), 1) for v in nodes]
-    trace = [states]
+    n = g.node_count
+    nodes = range(n)
+    cols = [([g.labels[v][c] for v in nodes], 1) for c in range(m.colours)]
+    tables = [cols]
     ins = [neigh(g, v, "in") for v in nodes]
     outs = [neigh(g, v, "out") for v in nodes]
+    # The node groups of the in, out and global ports, with their mean scales.
+    everyone = (nodes,)
+    hoods = (
+        (ins, mean_scale(ins)),
+        (outs, mean_scale(outs)),
+        (everyone, mean_scale(everyone)),
+    )
     for layer in m.layers:
-        own, in_dims, out_dims, glob_dims = _ports(
-            layer.comb.program.reads, layer.in_dim
-        )
-        glob = aggregate(layer.glob, states, glob_dims) if glob_dims else None
-        nxt = []
-        for v in nodes:
-            nums, den = states[v]
-            parts = [([nums[i] for i in own], den)]
-            if in_dims:
-                parts.append(
-                    aggregate(layer.loc_in, [states[u] for u in ins[v]], in_dims)
-                )
-            if out_dims:
-                parts.append(
-                    aggregate(layer.loc_out, [states[u] for u in outs[v]], out_dims)
-                )
-            if glob is not None:
-                parts.append(glob)
-            den = lcm(*(d for _x, d in parts))
-            row: list[int] = []
-            for xs, d in parts:
-                row.extend(xs if d == den else [x * (den // d) for x in xs])
-            nxt.append(fnn_eval(layer.comb, row, den))
-        states = nxt
+        aggregators = (layer.loc_in, layer.loc_out, layer.glob)
+        inputs = []
+        for i in layer.comb.program.reads:
+            port, dim = divmod(i, layer.in_dim)
+            if port == 0:
+                inputs.append(cols[dim])
+                continue
+            groups, scale = hoods[port - 1]
+            nums, den = aggregate(aggregators[port - 1], cols[dim], groups, scale)
+            inputs.append((nums * n if port == 3 else nums, den))
+        cols = fnn_eval(layer.comb, inputs, n)
         if keep_trace:
-            trace.append(states)
-    if keep_trace:
-        return [_fractions(table) for table in trace]
-    return _fractions(states)
+            tables.append(cols)
+    return tables if keep_trace else [cols]
 
 
-def _fractions(states: list[State]) -> list[list[Rational]]:
-    return [[rat(x, den) for x in nums] for nums, den in states]
+def _fractions(cols: list[Column]) -> list[list[Rational]]:
+    """A column table as one row of ``Fraction`` per node; each distinct
+    numerator of a column becomes one ``Fraction``."""
+    per_col = []
+    for nums, den in cols:
+        value = {x: rat(x, den) for x in set(nums)}
+        per_col.append(map(value.__getitem__, nums))
+    return [list(row) for row in zip(*per_col)]
 
 
 def mpnn_eval(m: Mpnn, g: Graph) -> list[list[Rational]]:
     """Final state vector of every node after all synchronous rounds."""
-    return _states_after(m, g, keep_trace=False)
+    (cols,) = _states_after(m, g, keep_trace=False)
+    return _fractions(cols)
 
 
 def mpnn_eval_traced(m: Mpnn, g: Graph) -> list[list[list[Rational]]]:
     """All intermediate state tables: entry 0 is the labels, entry L is final."""
-    return _states_after(m, g, keep_trace=True)
+    return [_fractions(cols) for cols in _states_after(m, g, keep_trace=True)]
 
 
 # ---------------------------------------------------------------------------
@@ -295,10 +306,7 @@ def check_required_class(m: Mpnn, pg: PointedGraph) -> None:
             raise ClassViolation("graph is not regular")
         return
     # tree-like variants
-    from .logic import parse_formula
-
-    phi = parse_formula(m.formula_text)
-    ok, witness = check_tree_like(phi, pg, colour)
+    ok, witness = check_tree_like(m.formula, pg, colour)
     if not ok:
         raise ClassViolation(f"graph is not tree-like for the formula: {witness}")
     if tag == "regular-tree-like" and not is_regular(g):

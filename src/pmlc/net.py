@@ -9,9 +9,11 @@ The building blocks:
 
 * ``FnnLayer`` / ``Fnn`` — sparse neurons ``relu(bias + sum w_i x_i)``.
 * ``Program`` — an Fnn lowered once (cached as ``Fnn.program``) to integer
-  rows over one denominator.  Identity carries become copy lanes, neurons
-  that feed no output are dropped, and the program records which inputs
-  it reads.  ``fnn_eval`` and the message-passing evaluator both run it.
+  rows that run once over the columns of all nodes, one denominator per
+  column.  Identity carries become copy lanes, neurons that feed no output
+  are dropped, and the program records which inputs it reads.
+  ``fnn_eval`` (on one-node columns) and the message-passing evaluator
+  both run it.
 * ``Circuit`` — a named-port builder that assembles neurons into one Fnn,
   padding depth mismatches with identity ReLUs (sound because every
   routed value is nonnegative).  It carries the one gadget set the
@@ -100,43 +102,76 @@ class Fnn:
         return lower(self)
 
 
+# A column: one nonnegative numerator per node over one shared denominator.
+Column = tuple[list[int], int]
+
+
 @dataclass(frozen=True)
 class Program:
-    """An Fnn as integer rows over one denominator, for nonnegative inputs.
+    """An Fnn as integer rows over columns, for nonnegative inputs.
 
-    Registers ``0 .. len(reads)-1`` hold the inputs listed in ``reads``;
-    row ``k`` writes register ``len(reads) + k``.  Register ``r`` stands
-    for ``regs[r] / (D * scale_r)``, where ``D`` is the denominator the
-    inputs arrive over and ``scale_r`` is a static scale (1 for inputs).
-    A row ``(bias, ((r, c), ...))`` computes ``relu(bias*D + sum c*regs[r])``:
-    ReLU is positively homogeneous, so that is the neuron's value times
-    ``D * scale``.  Output ``j`` is register ``outputs[j]`` times
-    ``multipliers[j]``, which brings every output to the common scale
-    ``scale``.
+    A program runs once over all nodes of a graph: every register holds a
+    column, the numerators of one value at every node over one
+    denominator.  Registers ``0 .. len(reads)-1`` hold the input columns
+    listed in ``reads``; row ``k`` writes register ``len(reads) + k``.
+
+    A row ``(bias, ((r, c), ...), scale)`` is the neuron
+    ``relu(bias/scale + sum (c/scale) * x_r)``, with ``scale`` the least
+    static scale that makes its coefficients integers.  It brings its input
+    columns to the lcm ``D`` of their denominators and computes
+    ``relu(bias*D + sum c*(D/d_r)*nums_r)`` at every node: ReLU is
+    positively homogeneous, so that is the neuron's value times
+    ``D * scale``, and the new column is reduced by one gcd.  Output ``j``
+    is register ``outputs[j]`` itself, so a copy lane costs nothing and
+    hands on its source column object; no column is changed in place.
     """
 
     reads: tuple[int, ...]
-    rows: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
+    rows: tuple[tuple[int, tuple[tuple[int, int], ...], int], ...]
     outputs: tuple[int, ...]
-    multipliers: tuple[int, ...]
-    scale: int
 
-    def run(self, nums: list[int], den: int) -> tuple[list[int], int]:
-        """Outputs for inputs ``nums[i] / den`` (one per entry of
-        ``reads``, all >= 0), as numerators over one denominator, reduced
-        by one gcd.  ``nums`` becomes the register file and is extended."""
-        regs = nums
-        for bias, terms in self.rows:
-            acc = bias * den
-            for r, c in terms:
-                acc += c * regs[r]
-            regs.append(acc if acc > 0 else 0)
-        out = [regs[r] * m for r, m in zip(self.outputs, self.multipliers)]
-        den *= self.scale
-        g = gcd(den, *out)
-        if g > 1:
-            return [x // g for x in out], den // g
-        return out, den
+    def run(self, cols: Sequence[Column], n: int) -> list[Column]:
+        """The output columns for input columns ``cols`` (one per entry of
+        ``reads``, each with ``n`` numerators, all >= 0)."""
+        regs = list(cols)
+        for bias, terms, scale in self.rows:
+            den = 1
+            for r, _c in terms:
+                if den % regs[r][1]:
+                    den = lcm(den, regs[r][1])
+            b = bias * den
+            # The bias, every term and the ReLU share one pass over the
+            # nodes; most rows (min, mask and threshold gadgets) have two
+            # or three terms.
+            k = len(terms)
+            if k == 2:
+                (r, c), (s, e) = terms
+                (xs, dx), (ys, dy) = regs[r], regs[s]
+                c, e = c * (den // dx), e * (den // dy)
+                nums = [v if (v := c * x + e * y + b) > 0 else 0 for x, y in zip(xs, ys)]
+            elif k == 3:
+                (r, c), (s, e), (t, h) = terms
+                (xs, dx), (ys, dy), (zs, dz) = regs[r], regs[s], regs[t]
+                c, e, h = c * (den // dx), e * (den // dy), h * (den // dz)
+                nums = [
+                    v if (v := c * x + e * y + h * z + b) > 0 else 0
+                    for x, y, z in zip(xs, ys, zs)
+                ]
+            else:
+                acc = [b] * n
+                for r, c in terms:
+                    xs, d = regs[r]
+                    c *= den // d
+                    acc = [a + c * x for a, x in zip(acc, xs)]
+                nums = [a if a > 0 else 0 for a in acc]
+            den *= scale
+            if den > 1:
+                g = gcd(den, *nums)
+                if g > 1:
+                    nums = [x // g for x in nums]
+                    den //= g
+            regs.append((nums, den))
+        return [regs[r] for r in self.outputs]
 
 
 def lower(n: Fnn) -> Program:
@@ -145,8 +180,8 @@ def lower(n: Fnn) -> Program:
     A neuron that feeds no output is dropped.  An identity carry
     ``relu(1*x)`` becomes a copy lane: it names its source register
     instead of taking one, which is exact because every input, and so
-    every value, is nonnegative.  Each remaining neuron gets the least
-    scale that makes its coefficients integers.
+    every value, is nonnegative.  Each remaining neuron becomes a row at
+    the least scale that makes its coefficients integers.
     """
     live: list[list[int]] = []
     need = set(range(n.output_dim))
@@ -156,7 +191,6 @@ def lower(n: Fnn) -> Program:
     live.reverse()
     reads = tuple(sorted(need))
     reg = {i: r for r, i in enumerate(reads)}
-    scales = [1] * len(reads)
     rows = []
     pairs: dict[tuple[int, int], tuple[int, int]] = {}  # one object per term
     for layer, alive in zip(n.layers, live):
@@ -171,22 +205,12 @@ def lower(n: Fnn) -> Program:
             if bias == 0 and list(merged.values()) == [1]:
                 (nxt[j],) = merged  # copy lane
                 continue
-            terms = [(r, rat(w, scales[r])) for r, w in merged.items()]
-            f = lcm(bias.denominator, *(w.denominator for _r, w in terms))
-            row = [(r, int(w * f)) for r, w in terms]
-            rows.append((int(bias * f), tuple(pairs.setdefault(t, t) for t in row)))
-            nxt[j] = len(scales)
-            scales.append(f)
+            f = lcm(bias.denominator, *(w.denominator for w in merged.values()))
+            row = [(r, int(w * f)) for r, w in merged.items()]
+            rows.append((int(bias * f), tuple(pairs.setdefault(t, t) for t in row), f))
+            nxt[j] = len(reads) + len(rows) - 1
         reg = nxt
-    outs = [reg[j] for j in range(n.output_dim)]
-    scale = lcm(*(scales[r] for r in outs))
-    return Program(
-        reads,
-        tuple(rows),
-        tuple(outs),
-        tuple(scale // scales[r] for r in outs),
-        scale,
-    )
+    return Program(reads, tuple(rows), tuple(reg[j] for j in range(n.output_dim)))
 
 
 def fnn_eval(n: Fnn, inputs: Sequence[RationalLike]) -> list[Rational]:
@@ -194,7 +218,7 @@ def fnn_eval(n: Fnn, inputs: Sequence[RationalLike]) -> list[Rational]:
 
     Every input must be >= 0 (``Circuit`` networks are only sound there,
     and the lowered program's copy lanes rely on it); a negative input
-    raises ValueError.
+    raises ValueError.  The program runs on one-node columns.
     """
     if len(inputs) != n.input_dim:
         raise ValueError(
@@ -202,10 +226,8 @@ def fnn_eval(n: Fnn, inputs: Sequence[RationalLike]) -> list[Rational]:
         )
     if any(x < 0 for x in inputs):
         raise ValueError("fnn_eval needs nonnegative inputs")
-    read = [inputs[i] for i in n.program.reads]
-    den = lcm(*(x.denominator for x in read))
-    out, den = n.program.run([x.numerator * (den // x.denominator) for x in read], den)
-    return [rat(x, den) for x in out]
+    cols = [([inputs[i].numerator], inputs[i].denominator) for i in n.program.reads]
+    return [rat(nums[0], den) for nums, den in n.program.run(cols, 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -91,7 +91,56 @@ def models(pg: PointedGraph, phi: PmlFormula) -> bool:
         memo[key] = result
         return result
 
-    return sat(pg.focus, phi)
+    try:
+        return sat(pg.focus, phi)
+    except RecursionError:
+        # Deeper than the interpreter's stack: finish with an explicit
+        # stack over the same memo, which keeps every finished entry.
+        return _sat_stack(g, memo, pg.focus, phi)
+
+
+def _sat_stack(
+    g: Graph, memo: dict[tuple[int, PmlFormula], bool], v: int, phi: PmlFormula
+) -> bool:
+    """``sat`` of ``models`` without recursion: a pair stays on the stack
+    until every pair it needs is in ``memo``."""
+    stack = [(v, phi)]
+    while stack:
+        key = stack[-1]
+        if key in memo:
+            stack.pop()
+            continue
+        u, f = key
+        if isinstance(f, Prop):
+            memo[key] = g.labels[u][f.index] == 1
+        elif isinstance(f, Not):
+            sub = (u, f.operand)
+            if sub not in memo:
+                stack.append(sub)
+                continue
+            memo[key] = not memo[sub]
+        elif isinstance(f, And):
+            left, right = (u, f.left), (u, f.right)
+            if left not in memo:
+                stack.append(left)
+                continue
+            if memo[left] and right not in memo:
+                stack.append(right)
+                continue
+            memo[key] = memo[left] and memo[right]
+        else:
+            needs = [
+                [(w, child) for w in modality_extension(pi, PointedGraph(g, u))]
+                for pi, child in zip(f.modalities, f.children)
+            ]
+            missing = [pair for pairs in needs for pair in pairs if pair not in memo]
+            if missing:
+                stack.extend(missing)
+                continue
+            counts = [sum(1 for pair in pairs if memo[pair]) for pairs in needs]
+            memo[key] = _eval_peano(f.constraint, counts)
+        stack.pop()
+    return memo[(v, phi)]
 
 
 def all_pointed_graphs(max_nodes: int, colours: int, edges: bool = True):

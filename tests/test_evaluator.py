@@ -12,7 +12,16 @@ from fractions import Fraction
 import pytest
 
 from pmlc.compiler import ALL_TARGETS, compile
-from pmlc.graphs import class_instance, gen_pointed, neigh
+from pmlc.graphs import (
+    Graph,
+    class_instance,
+    gen_marked,
+    gen_pointed,
+    gen_regular_strongly_marked,
+    gen_strongly_marked,
+    gen_tree_like,
+    neigh,
+)
 from pmlc.mpnn import (
     Aggregator,
     judge,
@@ -71,6 +80,31 @@ def test_bank_networks_match_reference_on_class_members(target):
             assert judge(net, inst).value == want[-1][inst.focus][-1]
 
 
+def test_each_comb_runs_once_per_layer_and_each_port_dim_is_aggregated_once(monkeypatch):
+    import pmlc.mpnn as mpnn
+
+    calls = {"fnn_eval": 0, "aggregate": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(mpnn, "fnn_eval", counting("fnn_eval", mpnn.fnn_eval))
+    monkeypatch.setattr(mpnn, "aggregate", counting("aggregate", mpnn.aggregate))
+    target = ALL_TARGETS[0]
+    net, _rep = compile(bank(target.name)[0], target)
+    g = gen_pointed(3, 30, net.colours, 0.1).graph
+    assert mpnn_eval(net, g) == reference_eval(net, g)[-1]
+    # Only the dims a program reads on the in, out and global ports.
+    ported = sum(
+        sum(1 for i in layer.comb.program.reads if i >= layer.in_dim) for layer in net.layers
+    )
+    assert calls == {"fnn_eval": len(net.layers), "aggregate": ported}
+    assert 0 < ported < sum(3 * layer.in_dim for layer in net.layers)
+
+
 def test_random_networks_match_reference():
     rng = random.Random("evaluator-random")
     aggregators = tuple(Aggregator)
@@ -102,6 +136,10 @@ def test_identity_carries_become_copy_lanes():
     assert prog.reads == (0, 1)
     assert prog.outputs == (1, 0)
     assert fnn_eval(net, [rat(1, 2), rat(2, 3)]) == [rat(2, 3), rat(1, 2)]
+    # A copy lane's output is its source column object, not a copy.
+    x, y = ([1, 4], 2), ([2, 0], 3)
+    out = prog.run([x, y], 2)
+    assert out[0] is y and out[1] is x
 
 
 def test_neurons_that_feed_no_output_are_dropped():
@@ -117,17 +155,20 @@ def test_neurons_that_feed_no_output_are_dropped():
 def test_rational_weights_get_a_static_scale():
     net = _fnn((2, [(rat(1, 2), [(0, rat(1, 3)), (1, rat(-1, 4))])]), (1, [(0, [(0, rat(2, 5))])]))
     prog = net.program
-    assert prog.scale == 30
+    # Each row's scale is the lcm of its own weight and bias denominators.
+    assert prog.rows == ((6, ((0, 4), (1, -3)), 12), (0, ((2, 2),), 5))
     x, y = rat(3, 7), rat(1, 5)
     inner = max(rat(1, 2) + x / 3 - y / 4, 0)
     assert fnn_eval(net, [x, y]) == [rat(2, 5) * inner]
     assert fnn_eval(net, [0, 100]) == [0]
 
 
-def test_outputs_at_different_scales_share_one_denominator():
+def test_outputs_keep_one_denominator_per_column():
     net = _fnn((1, [(0, [(0, rat(1, 2))]), (0, [(0, rat(1, 3))]), (0, [(0, 1)])]))
-    assert net.program.scale == 6
+    assert [scale for _b, _t, scale in net.program.rows] == [2, 3]
     assert fnn_eval(net, [rat(6, 5)]) == [rat(3, 5), rat(2, 5), rat(6, 5)]
+    col = ([6, 0, 12], 5)
+    assert net.program.run([col], 3) == [([3, 0, 6], 5), ([2, 0, 4], 5), col]
 
 
 def test_fnn_eval_rejects_negative_inputs():
@@ -142,7 +183,89 @@ def test_program_is_built_once_per_network():
     assert net == _fnn((1, [(1, [(0, 2)])]))
 
 
-def test_program_outputs_are_reduced_by_one_gcd():
-    net = _fnn((2, [(0, [(0, 1)]), (0, [(1, 1)])]))
-    assert net.program.run([6, 9], 12) == ([2, 3], 4)
-    assert net.program.run([0, 0], 12) == ([0, 0], 1)
+def test_each_row_is_reduced_by_one_gcd():
+    net = _fnn((2, [(0, [(0, 2)]), (0, [(0, 1), (1, 1)])]))
+    prog = net.program
+    # 2x on 6/12 and 9/12 is 12/12 and 18/12: one gcd of 6 over the column.
+    assert prog.run([([6, 9], 12), ([1, 2], 4)], 2)[0] == ([2, 3], 2)
+    # x + y brings 1/4 and 2/4 to twelfths first: 9/12 and 15/12, gcd 3.
+    assert prog.run([([6, 9], 12), ([1, 2], 4)], 2)[1] == ([3, 5], 4)
+    assert prog.run([([0, 0], 12), ([0, 0], 4)], 2) == [([0, 0], 1), ([0, 0], 1)]
+
+
+def test_constant_rows_fill_every_node():
+    net = _fnn((1, [(rat(3, 2), []), (-1, [])]))
+    assert net.program.reads == ()
+    assert net.program.run([], 3) == [([3, 3, 3], 2), ([0, 0, 0], 1)]
+    assert fnn_eval(net, [5]) == [rat(3, 2), 0]
+
+
+# ---------------------------------------------------------------------------
+# Large graphs: uneven degrees bring every mean to the lcm of the degrees
+
+
+def _uneven_graph(rng, colours):
+    """40 to 120 nodes: about a fifth isolated, the others with out-degrees
+    0 to 6 drawn per node, so in- and out-degrees both vary."""
+    n = rng.randint(40, 120)
+    isolated = set(rng.sample(range(n), n // 5))
+    live = [v for v in range(n) if v not in isolated]
+    edges = frozenset((v, u) for v in live for u in rng.sample(live, rng.randint(0, 6)))
+    labels = tuple(tuple(rng.randint(0, 1) for _ in range(colours)) for _ in range(n))
+    return Graph(n, colours, edges, labels)
+
+
+def _degree_spread(g):
+    """(isolated nodes, distinct nonzero in-degrees, distinct nonzero out-degrees)."""
+    ins, outs = g.adjacency
+    lonely = sum(1 for a, b in zip(ins, outs) if not a and not b)
+    return lonely, len({len(a) for a in ins} - {0}), len({len(b) for b in outs} - {0})
+
+
+def test_random_networks_match_reference_on_large_uneven_graphs():
+    rng = random.Random("evaluator-large")
+    aggregators = tuple(Aggregator)
+    for i in range(40):
+        colours = rng.randint(1, 3)
+        net = random_mpnn(rng, colours, max_layers=3, max_dim=3, aggregators=aggregators)
+        g = _uneven_graph(rng, colours)
+        lonely, in_degrees, out_degrees = _degree_spread(g)
+        assert lonely >= 8 and in_degrees >= 3 and out_degrees >= 3
+        want = reference_eval(net, g)
+        assert mpnn_eval_traced(net, g) == want, i
+
+
+def _large_member(net, phi, seed, rng):
+    """A member of ``net``'s required class with 40 to 120 nodes, or the
+    tree-like member that a branching of 5 to 8 gives."""
+    tag, colours = net.required_class, net.colours
+    n = rng.randint(40, 120)
+    p = rng.choice([2, 3, 5]) / n
+    if tag == "any":
+        return gen_pointed(seed, n, colours, p)
+    if tag == "marked":
+        return gen_marked(seed, n, colours, p)
+    if tag == "strong":
+        return gen_strongly_marked(seed, n, colours, p)
+    if tag == "regular-strong":
+        d = rng.randint(1, 4)
+        return gen_regular_strongly_marked(seed, n, colours, d, d)
+    return gen_tree_like(seed, phi, rng.randint(5, 8), colours, tag == "regular-tree-like")
+
+
+@pytest.mark.parametrize("target", ALL_TARGETS, ids=lambda t: t.name)
+def test_bank_networks_match_reference_on_large_class_members(target):
+    # Judged on the two largest members drawn for the target's bank: the
+    # tree-like generator builds large trees only for some nested formulas.
+    rng = random.Random(f"evaluator-large-{target.name}")
+    members = []
+    for i, phi in enumerate(bank(target.name)):
+        net, _rep = compile(phi, target)
+        members.append((net, _large_member(net, phi, 97 * i + 5, rng)))
+    members.sort(key=lambda item: -item[1].graph.node_count)
+    for net, pg in members[:2]:
+        want = reference_eval(net, pg.graph)
+        assert mpnn_eval_traced(net, pg.graph) == want, target.name
+        verdict = judge(net, pg)
+        assert verdict.value == want[-1][pg.focus][-1]
+        assert verdict.kind != "malformed", target.name

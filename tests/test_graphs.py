@@ -21,7 +21,6 @@ from pmlc.graphs import (
     neigh,
     parse_graph,
     print_graph,
-    trace_set,
 )
 from pmlc.logic import Modality, parse_formula
 
@@ -116,55 +115,6 @@ def test_marking_predicates():
     assert not is_marked(double, 1, 0)
     with pytest.raises(ValueError):
         is_marked(lone, 0, 1)
-
-
-# ---------------------------------------------------------------------------
-# Trace sets
-
-
-def test_trace_set_on_binary_tree():
-    pg = binary_out_tree()
-    assert trace_set(OUT_OUT, pg, 3, 2) == frozenset(
-        {(Modality.E_OUT, Modality.E_OUT)}
-    )
-    assert trace_set(OUT_OUT, pg, 1, 2) == frozenset(
-        {(Modality.E_OUT,), (Modality.E_OUT, Modality.E_OUT)}
-    )
-    assert trace_set(OUT_OUT, pg, 0, 2) == frozenset(
-        {(), (Modality.E_OUT,), (Modality.E_OUT, Modality.E_OUT)}
-    )
-
-
-def test_trace_set_empty_trace_only_at_focus():
-    pg = binary_out_tree()
-    for u in range(pg.graph.node_count):
-        ts = trace_set(OUT_OUT, pg, u, 0)
-        assert (() in ts) == (u == pg.focus)
-
-
-def test_trace_set_no_edges():
-    phi = parse_formula("<in>{x1 >= 1}(p0)")
-    g = graph_of(3, 1, set())
-    pg = PointedGraph(g, 0)
-    assert trace_set(phi, pg, 1, 1) == frozenset()
-    assert trace_set(phi, pg, 0, 1) == frozenset({()})
-
-
-def test_trace_set_monotone_in_level():
-    for seed in range(20):
-        pg = gen_pointed(seed, 5, 2, 0.4)
-        for u in range(pg.graph.node_count):
-            prev = trace_set(OUT_OUT, pg, u, 0)
-            for i in (1, 2):
-                cur = trace_set(OUT_OUT, pg, u, i)
-                assert prev <= cur
-                prev = cur
-
-
-def test_trace_set_rejects_bad_level():
-    pg = binary_out_tree()
-    with pytest.raises(ValueError):
-        trace_set(OUT_OUT, pg, 0, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from pmlc.logic import (
     parse_formula,
     parse_peano,
     peano_arity,
-    peano_degree,
     print_formula,
     print_peano,
     subformulas_ordered,
@@ -193,7 +192,7 @@ def test_modal_depth_and_degree():
 def test_peano_arity_and_degree():
     assert peano_arity(parse_peano("x1*x3 <= 2")) == 3
     assert peano_arity(parse_peano("0 <= 1")) == 0
-    assert peano_degree(parse_peano("x1*x1 + x2 <= 0")) == 2
+    assert parse_peano("x1*x1 + x2 <= 0").degree == 2
 
 
 def test_max_prop():

@@ -16,6 +16,7 @@ from pmlc.mpnn import (
     aggregate,
     check_required_class,
     judge,
+    mean_scale,
     mpnn_eval,
     mpnn_eval_traced,
     parse_mpnn,
@@ -35,14 +36,17 @@ MEAN, SUM, MAX = Aggregator.MEAN, Aggregator.SUM, Aggregator.MAX
 
 
 def _agg(a, rows, dim):
-    """``aggregate`` over all ``dim`` dims of rational rows, read back as
-    rationals; each row becomes numerators over its lcm denominator."""
-    states = []
-    for row in rows:
-        den = math.lcm(*(q.denominator for q in row))
-        states.append(([q.numerator * (den // q.denominator) for q in row], den))
-    nums, den = aggregate(a, states, range(dim))
-    return [rat(x, den) for x in nums]
+    """``aggregate`` of rational rows (one per node) over the single group
+    of all of them, one column per dim, read back as rationals; each
+    column becomes numerators over the lcm of its denominators."""
+    out = []
+    for i in range(dim):
+        values = [row[i] for row in rows]
+        den = math.lcm(*(q.denominator for q in values))
+        col = ([q.numerator * (den // q.denominator) for q in values], den)
+        (num,), den = aggregate(a, col, [range(len(rows))])
+        out.append(rat(num, den))
+    return out
 
 
 def test_mean_of_two_singletons():
@@ -51,7 +55,8 @@ def test_mean_of_two_singletons():
 
 def test_empty_multiset_gives_zero_vector():
     for a in (MEAN, SUM, MAX):
-        assert _agg(a, [], 3) == [ZERO, ZERO, ZERO]
+        assert aggregate(a, ([], 1), [()]) == ([0], 1)
+        assert aggregate(a, ([3, 5], 7), [(), (1,), ()])[0] == [0, 5, 0]
 
 
 def test_max_is_dimensionwise():
@@ -64,22 +69,39 @@ def test_sum_accumulates_exactly():
     assert _agg(MEAN, vals, 1) == [rat(1, 3)]
 
 
-def test_aggregate_brings_rows_to_one_denominator():
+def test_aggregate_keeps_the_column_denominator():
     vals = [[rat(1, 2), ONE], [rat(1, 3), ZERO], [rat(3, 4), ZERO]]
     assert _agg(SUM, vals, 2) == [rat(19, 12), ONE]
     assert _agg(MEAN, vals, 2) == [rat(19, 36), rat(1, 3)]
     assert _agg(MAX, vals, 2) == [rat(3, 4), ONE]
+    col = ([6, 4, 9], 12)
+    assert aggregate(SUM, col, [(0, 1, 2)]) == ([19], 12)
+    assert aggregate(MAX, col, [(0, 1, 2)]) == ([9], 12)
 
 
-def test_aggregate_reads_only_the_given_dims():
-    rows = [([1, 5, 2], 3), ([0, 7, 4], 3)]
-    assert aggregate(SUM, rows, [2, 0]) == ([6, 1], 3)
-    assert aggregate(MEAN, rows, [1]) == ([12], 6)
+def test_aggregate_reads_only_the_given_groups():
+    col = ([1, 5, 2, 7], 3)
+    assert aggregate(SUM, col, [(2, 0), (1,), (3, 1)]) == ([3, 5, 12], 3)
+    assert aggregate(MAX, col, [(2, 0), (1,), (3, 1)]) == ([2, 5, 7], 3)
 
 
-def test_aggregate_checks_vector_length():
+def test_mean_uses_one_denominator_over_the_degree_lcm():
+    # Group sizes 2, 3 and 0: L = lcm(2, 3) = 6, and each group's sum is
+    # scaled by L / size (an empty group gives 0).
+    col = ([1, 5, 2, 7], 3)
+    groups = [(0, 1), (1, 2, 3), ()]
+    assert mean_scale(groups) == (6, [3, 2, 0])
+    assert aggregate(MEAN, col, groups) == ([18, 28, 0], 18)
+    assert aggregate(MEAN, col, groups, mean_scale(groups)) == ([18, 28, 0], 18)
+    # Equal nonzero sizes need no scaling, empty groups included.
+    assert mean_scale([(0, 1), (), (2, 3)]) == (2, None)
+    assert aggregate(MEAN, col, [(0, 1), (), (2, 3)]) == ([6, 0, 9], 6)
+    assert mean_scale([(), ()]) == (1, None)
+
+
+def test_aggregate_checks_group_members():
     with pytest.raises(ValueError):
-        aggregate(SUM, [([1, 0], 1)], range(3))
+        aggregate(SUM, ([1, 0], 1), [(0, 2)])
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +350,20 @@ def test_judge_rechecks_tree_like_class():
     assert judge(net, binary_out_tree()).kind == "reject"
     with pytest.raises(ClassViolation):
         judge(net, converging_diamond())
+
+
+def test_class_formula_is_parsed_once_per_network(monkeypatch):
+    import pmlc.mpnn as mpnn
+
+    parses = []
+    parse = mpnn.parse_formula
+    monkeypatch.setattr(mpnn, "parse_formula", lambda text: parses.append(text) or parse(text))
+    net = _two_colour_const("tree-like", formula=print_formula(OUT_OUT))
+    for _ in range(3):
+        check_required_class(net, binary_out_tree())
+    assert parses == [print_formula(OUT_OUT)]
+    assert net.formula is OUT_OUT
+    assert net == _two_colour_const("tree-like", formula=print_formula(OUT_OUT))
 
 
 def test_check_required_class_any_is_permissive():

@@ -6,12 +6,16 @@ import pytest
 
 from pmlc.graphs import Graph, PointedGraph, gen_pointed, neigh
 from pmlc.logic import (
+    Modal,
     Modality,
+    Not,
+    Prop,
     flatten_global,
     parse_formula,
     parse_peano,
 )
 from pmlc.oracle import (
+    _sat_stack,
     all_pointed_graphs,
     eval_peano,
     modality_extension,
@@ -159,6 +163,42 @@ def test_models_direct_counting_cross_check():
                     <= k
                 )
                 assert models(pg, phi) == expected
+
+
+def test_models_survives_formulas_deeper_than_the_stack():
+    # The 5,000-deep Not chain of test_logic, built through the constructors.
+    chain = Prop(2)
+    for _ in range(5000):
+        chain = Not(chain)
+    g = graph_of(2, 3, [(0, 1)], [(0, 0, 1), (1, 0, 0)])
+    assert models(PointedGraph(g, 0), chain) is True
+    assert models(PointedGraph(g, 1), chain) is False
+    assert models(PointedGraph(g, 0), Not(chain)) is False
+    wrapped = Modal((Modality.TOP,), parse_peano("x1 >= 1"), (chain,))
+    assert models(PointedGraph(g, 1), wrapped) is True
+
+
+def test_models_survives_deep_modal_nesting():
+    # Negations and <out> steps alternate 3,000 levels deep on a
+    # two-cycle; the truth at each node is worked out level by level.
+    g = graph_of(3, 1, [(0, 1), (1, 0), (2, 2)], [(1,), (0,), (0,)])
+    step = parse_peano("x1 >= 1")
+    phi, truth = Prop(0), [True, False, False]
+    for i in range(3000):
+        if i % 2:
+            phi = Modal((Modality.E_OUT,), step, (phi,))
+            truth = [any(truth[u] for u in neigh(g, v, "out")) for v in range(3)]
+        else:
+            phi, truth = Not(phi), [not t for t in truth]
+    assert [models(PointedGraph(g, v), phi) for v in range(3)] == truth
+
+
+def test_explicit_stack_agrees_with_recursion():
+    for seed in range(40):
+        rng = random.Random(f"stack-{seed}")
+        pg = gen_pointed(seed, 5, 2, 0.4)
+        phi = random_formula(rng, 3, list(Modality))
+        assert _sat_stack(pg.graph, {}, pg.focus, phi) == models(pg, phi), seed
 
 
 def test_models_memoization_consistency():
