@@ -79,14 +79,15 @@ def aggregate(
     a: Aggregator,
     col: Column,
     groups: Sequence[Sequence[int]],
-    scale: Optional[tuple[int, Optional[list[int]]]] = None,
+    scale: tuple[int, Optional[list[int]]],
 ) -> Column:
     """Combine the column ``col`` over each group of nodes: one numerator
     per group, over one denominator.  An empty group gives 0.
 
     Sums and maxima keep the column's denominator ``d``.  A mean has the
-    denominator ``d * L`` and scales group ``k`` by ``L / len(groups[k])``
-    (see ``mean_scale``; pass its result as ``scale`` to reuse it).
+    denominator ``d * L`` and scales group ``k`` by ``L / len(groups[k])``;
+    ``scale`` is ``mean_scale(groups)``, computed once per group list and
+    read only by means.
     """
     nums, den = col
     at = nums.__getitem__
@@ -98,7 +99,7 @@ def aggregate(
         raise ValueError("a group names a node the column lacks") from None
     if a is Aggregator.SUM:
         return sums, den
-    top, factors = mean_scale(groups) if scale is None else scale
+    top, factors = scale
     if factors is not None:
         sums = [x * f for x, f in zip(sums, factors)]
     return sums, den * top

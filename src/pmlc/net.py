@@ -139,31 +139,12 @@ class Program:
             for r, _c in terms:
                 if den % regs[r][1]:
                     den = lcm(den, regs[r][1])
-            b = bias * den
-            # The bias, every term and the ReLU share one pass over the
-            # nodes; most rows (min, mask and threshold gadgets) have two
-            # or three terms.
-            k = len(terms)
-            if k == 2:
-                (r, c), (s, e) = terms
-                (xs, dx), (ys, dy) = regs[r], regs[s]
-                c, e = c * (den // dx), e * (den // dy)
-                nums = [v if (v := c * x + e * y + b) > 0 else 0 for x, y in zip(xs, ys)]
-            elif k == 3:
-                (r, c), (s, e), (t, h) = terms
-                (xs, dx), (ys, dy), (zs, dz) = regs[r], regs[s], regs[t]
-                c, e, h = c * (den // dx), e * (den // dy), h * (den // dz)
-                nums = [
-                    v if (v := c * x + e * y + h * z + b) > 0 else 0
-                    for x, y, z in zip(xs, ys, zs)
-                ]
-            else:
-                acc = [b] * n
-                for r, c in terms:
-                    xs, d = regs[r]
-                    c *= den // d
-                    acc = [a + c * x for a, x in zip(acc, xs)]
-                nums = [a if a > 0 else 0 for a in acc]
+            acc = [bias * den] * n
+            for r, c in terms:
+                xs, d = regs[r]
+                c *= den // d
+                acc = [a + c * x for a, x in zip(acc, xs)]
+            nums = [a if a > 0 else 0 for a in acc]
             den *= scale
             if den > 1:
                 g = gcd(den, *nums)
