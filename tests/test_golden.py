@@ -1,23 +1,28 @@
-"""Golden digests: every bank network and report stays byte-identical.
+"""Golden digests: every bank network, report and verdict stays byte-identical.
 
 For each (target, bank formula) pair, ``golden_digests.txt`` holds the
-sha256 of ``print_mpnn(net)`` and of ``format_report(report)``;
+sha256 of ``print_mpnn(net)``, of ``format_report(report)`` and of the
+network's ``judge`` verdicts and values on fixed members of its class;
 ``golden_extra_digests.txt`` does the same for ``EXTRA``, pairs outside
 the banks that run builder paths no bank formula reaches.  A change to
-the compilers that alters any network or report fails here; if the
-change is intended, regenerate both files and say why in CHANGES.md:
+the compilers that alters any network, report or verdict fails here.  A
+change may alter networks on purpose (smaller networks with the same
+semantics); then regenerate both files, check that only the network
+column moved, and say why in CHANGES.md:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
 import hashlib
+import random
 from pathlib import Path
 
 import pytest
 
 from pmlc.compiler import ALL_TARGETS, compile, format_report
+from pmlc.graphs import class_instance
 from pmlc.logic import parse_formula
-from pmlc.mpnn import print_mpnn
+from pmlc.mpnn import ClassViolation, judge, print_mpnn
 
 from targets import bank
 
@@ -38,18 +43,50 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+FIELDS = ("network", "report", "verdict")
+VERDICT_MEMBERS = 6  # class members judged per pair, at most 6 nodes each
+
+
+def _verdicts(net, phi, name: str, i: int) -> str:
+    """One ``kind value`` line per fixed member of the network's class."""
+    rng = random.Random(f"golden-{name}-{i}")
+    lines = []
+    for k in range(VERDICT_MEMBERS):
+        pg = class_instance(net.required_class, 1000 * i + k, rng, phi, max_nodes=6)
+        try:
+            verdict = judge(net, pg)
+        except ClassViolation:
+            lines.append("outside-class")
+            continue
+        lines.append(f"{verdict.kind} {verdict.value}")
+    return "\n".join(lines)
+
+
 def _line(name: str, i: int, phi) -> str:
     net, report = compile(phi, name)
-    return f"{name} {i} {_sha(print_mpnn(net))} {_sha(format_report(report))}"
+    shas = (print_mpnn(net), format_report(report), _verdicts(net, phi, name, i))
+    return " ".join([name, str(i), *map(_sha, shas)])
+
+
+def _changed(want: list, got: list) -> list:
+    """``index:field`` for every digest that differs."""
+    return [
+        f"{w.split()[1]}:{field}"
+        for w, g in zip(want, got)
+        for field, a, b in zip(FIELDS, w.split()[2:], g.split()[2:])
+        if a != b
+    ]
 
 
 def digests(target) -> list:
-    """One ``target index net-sha report-sha`` line per bank formula."""
+    """One ``target index net-sha report-sha verdict-sha`` line per bank
+    formula."""
     return [_line(target.name, i, phi) for i, phi in enumerate(bank(target.name))]
 
 
 def extra_digests() -> list:
-    """One ``target index net-sha report-sha`` line per ``EXTRA`` pair."""
+    """One ``target index net-sha report-sha verdict-sha`` line per
+    ``EXTRA`` pair."""
     return [_line(name, i, parse_formula(text)) for i, (name, text) in enumerate(EXTRA)]
 
 
@@ -71,19 +108,17 @@ def test_golden_file_covers_every_bank_pair():
 def test_bank_networks_match_golden_digests(target):
     want = _golden()[target.name]
     got = digests(target)
-    changed = [w.split()[1] for w, g in zip(want, got) if w != g]
+    changed = _changed(want, got)
     assert len(got) == len(want) and not changed, (
-        f"{target.name}: bank formulas {changed} compile to different bytes"
+        f"{target.name}: bank formulas {changed} changed"
     )
 
 
 def test_extra_networks_match_golden_digests():
     want = EXTRA_GOLDEN.read_text(encoding="utf-8").splitlines()
     got = extra_digests()
-    changed = [w.split()[1] for w, g in zip(want, got) if w != g]
-    assert len(got) == len(want) and not changed, (
-        f"extra pairs {changed} compile to different bytes"
-    )
+    changed = _changed(want, got)
+    assert len(got) == len(want) and not changed, f"extra pairs {changed} changed"
 
 
 if __name__ == "__main__":
