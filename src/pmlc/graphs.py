@@ -277,7 +277,8 @@ def parse_graph(text: str) -> Union[Graph, PointedGraph]:
     if header is None:
         raise GraphFormatError("missing 'graph <node_count> <colours>' header")
     n, colours = header
-    if sorted(labels) != list(range(n)):
+    # The count first: ``range(n)`` is only built for as many ids as lines.
+    if len(labels) != n or sorted(labels) != list(range(n)):
         raise GraphFormatError("node lines must cover ids 0..node_count-1")
     try:
         g = Graph(

@@ -182,7 +182,7 @@ class Mpnn:
                 if len(names) != layer.out_dim:
                     raise ValueError("dimension name row width mismatch")
                 for name in names:
-                    if not name or any(ch.isspace() for ch in name):
+                    if name.split() != [name]:  # empty, or holds whitespace
                         raise ValueError(f"bad dimension name {name!r}")
         needs_mark = self.required_class not in ("any",)
         if needs_mark and self.mark_colour is None:

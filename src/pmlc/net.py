@@ -38,7 +38,6 @@ ONE = rat(1)
 
 
 def format_rational(q: RationalLike) -> str:
-    q = rat(q)
     return f"{q.numerator}/{q.denominator}"
 
 
@@ -162,7 +161,9 @@ def lower(n: Fnn) -> Program:
     ``relu(1*x)`` becomes a copy lane: it names its source register
     instead of taking one, which is exact because every input, and so
     every value, is nonnegative.  Each remaining neuron becomes a row at
-    the least scale that makes its coefficients integers.
+    the least scale that makes its coefficients integers, and neurons with
+    the same bias and the same merged terms over the same registers share
+    one row.
     """
     live: list[list[int]] = []
     need = set(range(n.output_dim))
@@ -173,6 +174,7 @@ def lower(n: Fnn) -> Program:
     reads = tuple(sorted(need))
     reg = {i: r for r, i in enumerate(reads)}
     rows = []
+    written: dict[tuple, int] = {}  # row -> the register it writes
     pairs: dict[tuple[int, int], tuple[int, int]] = {}  # one object per term
     for layer, alive in zip(n.layers, live):
         nxt = {}
@@ -181,15 +183,21 @@ def lower(n: Fnn) -> Program:
             merged: dict[int, Rational] = {}
             for i, w in weights:
                 if w:
-                    merged[reg[i]] = merged.get(reg[i], ZERO) + w
+                    r = reg[i]
+                    merged[r] = merged[r] + w if r in merged else w
             merged = {r: w for r, w in merged.items() if w}
             if bias == 0 and list(merged.values()) == [1]:
                 (nxt[j],) = merged  # copy lane
                 continue
             f = lcm(bias.denominator, *(w.denominator for w in merged.values()))
-            row = [(r, int(w * f)) for r, w in merged.items()]
-            rows.append((int(bias * f), tuple(pairs.setdefault(t, t) for t in row), f))
-            nxt[j] = len(reads) + len(rows) - 1
+            terms = tuple(pairs.setdefault(t, t) for t in sorted(
+                (r, int(w * f)) for r, w in merged.items()
+            ))
+            row = (int(bias * f), terms, f)
+            if row not in written:
+                rows.append(row)
+                written[row] = len(reads) + len(rows) - 1
+            nxt[j] = written[row]
         reg = nxt
     return Program(reads, tuple(rows), tuple(reg[j] for j in range(n.output_dim)))
 
@@ -310,26 +318,35 @@ class Circuit:
         return tuple(name for name, _ref in self._outputs)
 
     def build(self) -> Fnn:
+        """The Fnn whose outputs are the declared outputs, in order.
+
+        Its depth is the deepest output's; shallower outputs are carried
+        there through identity ReLUs.  The last layer holds the output
+        refs' own neurons in declaration order, and a neuron declared
+        under two names appears twice.
+        """
         if not self._outputs:
             raise ValueError("circuit has no outputs")
         depth = max(max((r.depth for _n, r in self._outputs), default=0), 1)
-        finals = [(name, self._lift(r, depth)) for name, r in self._outputs]
+        finals = [self._lift(r, depth) for _name, r in self._outputs]
+        stages = self._neurons[: depth - 1]
+        stages.append([self._neurons[depth - 1][r.index] for r in finals])
         layers = []
-        for d, stage in enumerate(self._neurons):
-            in_dim = self._width if d == 0 else len(self._neurons[d - 1])
-            neurons = []
-            for bias, terms in stage:
-                weights: dict[int, Rational] = {}
-                for ref, w in terms:
-                    weights[ref.index] = weights.get(ref.index, ZERO) + w
-                neurons.append(
-                    (bias, tuple(sorted(weights.items())))
-                )
-            layers.append(FnnLayer(in_dim, tuple(neurons)))
-        # Final selection layer re-emits the outputs in declaration order.
-        sel = FnnLayer(
-            len(self._neurons[depth - 1]),
-            tuple((ZERO, ((r.index, ONE),)) for _name, r in finals),
-        )
-        layers = layers[:depth] + [sel]
+        in_dim = self._width
+        for d, stage in enumerate(stages):
+            layers.append(FnnLayer(in_dim, tuple(map(_merged, stage))))
+            in_dim = len(self._neurons[d])
         return Fnn(tuple(layers))
+
+
+def _merged(
+    neuron: tuple[Rational, list[tuple[Ref, Rational]]]
+) -> tuple[Rational, tuple[tuple[int, Rational], ...]]:
+    """A circuit neuron as an FnnLayer neuron: one weight per input index,
+    in index order; only a repeated index costs an addition."""
+    bias, terms = neuron
+    weights: dict[int, Rational] = {}
+    for ref, w in terms:
+        i = ref.index
+        weights[i] = weights[i] + w if i in weights else w
+    return bias, tuple(sorted(weights.items()))

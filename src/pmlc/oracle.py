@@ -32,7 +32,10 @@ def eval_peano(psi: PeanoFormula, assignment: Sequence[int]) -> bool:
             f"constraint uses x{peano_arity(psi)} but got "
             f"{len(assignment)} values"
         )
-    return _eval_peano(psi, assignment)
+    try:
+        return _eval_peano(psi, assignment)
+    except RecursionError:
+        return _eval_peano_stack(psi, assignment)
 
 
 def _eval_peano(psi: PeanoFormula, n: Sequence[int]) -> bool:
@@ -47,6 +50,36 @@ def _eval_peano(psi: PeanoFormula, n: Sequence[int]) -> bool:
     if isinstance(psi, PeanoNot):
         return not _eval_peano(psi.operand, n)
     return _eval_peano(psi.left, n) and _eval_peano(psi.right, n)
+
+
+def _eval_peano_stack(psi: PeanoFormula, n: Sequence[int]) -> bool:
+    """``_eval_peano`` without recursion, for constraints deeper than the
+    interpreter's stack (only the constructors build them): a node stays
+    on the stack until every operand it needs has a truth value."""
+    truth: dict[PeanoFormula, bool] = {}
+    stack = [psi]
+    while stack:
+        f = stack[-1]
+        if f in truth:
+            stack.pop()
+            continue
+        if isinstance(f, PeanoAtom):
+            truth[f] = _eval_peano(f, n)
+        elif isinstance(f, PeanoNot):
+            if f.operand not in truth:
+                stack.append(f.operand)
+                continue
+            truth[f] = not truth[f.operand]
+        else:
+            if f.left not in truth:
+                stack.append(f.left)
+                continue
+            if truth[f.left] and f.right not in truth:
+                stack.append(f.right)
+                continue
+            truth[f] = truth[f.left] and truth[f.right]
+        stack.pop()
+    return truth[psi]
 
 
 def modality_extension(pi: Modality, pg: PointedGraph) -> tuple[int, ...]:
@@ -94,8 +127,9 @@ def models(pg: PointedGraph, phi: PmlFormula) -> bool:
     try:
         return sat(pg.focus, phi)
     except RecursionError:
-        # Deeper than the interpreter's stack: finish with an explicit
-        # stack over the same memo, which keeps every finished entry.
+        # A formula or constraint deeper than the interpreter's stack:
+        # finish with an explicit stack over the same memo, which keeps
+        # every finished entry.
         return _sat_stack(g, memo, pg.focus, phi)
 
 
@@ -138,7 +172,7 @@ def _sat_stack(
                 stack.extend(missing)
                 continue
             counts = [sum(1 for pair in pairs if memo[pair]) for pairs in needs]
-            memo[key] = _eval_peano(f.constraint, counts)
+            memo[key] = _eval_peano_stack(f.constraint, counts)
         stack.pop()
     return memo[(v, phi)]
 

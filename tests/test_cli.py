@@ -1,9 +1,14 @@
 """End-to-end tests for the command-line interface."""
 
+import resource
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import pmlc
 from pmlc.cli import build_parser, main
 from pmlc.compiler import DEFAULT_TRACE_CAP
 from pmlc.graphs import (
@@ -109,6 +114,28 @@ def test_check_needs_a_focus(tmp_path, capsys):
     )
     nofocus = write(tmp_path, "nofocus.graph", text + "\n")
     assert main(["check", f, nofocus]) == 2
+
+
+def test_check_rejects_a_huge_node_count_before_allocating(tmp_path):
+    # Two lines claim 10^8 nodes.  Under a 400 MB address-space limit on
+    # the child alone, the check must end in a typed error (exit 2), not a
+    # MemoryError traceback.
+    f = write(tmp_path, "f.pml", "p0")
+    huge = write(tmp_path, "huge.graph", "graph 100000000 1\nfocus 0\n")
+    limit = 400 * 2**20
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = str(Path(pmlc.__file__).resolve().parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r}); from pmlc.cli import main; " \
+        f"sys.exit(main(['check', {f!r}, {huge!r}]))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        timeout=60, preexec_fn=cap_memory,
+    )
+    assert out.returncode == 2, out.stderr
+    assert "error:" in out.stderr and "Traceback" not in out.stderr
 
 
 # ---------------------------------------------------------------------------

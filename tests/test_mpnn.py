@@ -198,6 +198,16 @@ def test_dimension_names_are_validated():
              dimension_names=(("bad name",),))
 
 
+@pytest.mark.parametrize("name", ["", " ", "a\tb", "lead ing", "end\n", "nb\u00a0sp", "\u2003x"])
+def test_dimension_names_reject_empty_and_any_whitespace(name):
+    layer = _layer([(0, [(0, 1)])], 1, 1)
+    with pytest.raises(ValueError):
+        Mpnn(1, (layer,), CertaintyDescriptor(0), False, "any",
+             dimension_names=((name,),))
+    Mpnn(1, (layer,), CertaintyDescriptor(0), False, "any",
+         dimension_names=(("a#1.2_x",),))
+
+
 def test_certainty_descriptor_values():
     assert CertaintyDescriptor(0).value(7) == ONE
     assert CertaintyDescriptor(2).value(4) == rat(1, 16)

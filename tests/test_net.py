@@ -368,6 +368,58 @@ def test_circuit_raw_input_output_is_lifted():
     assert fnn_eval(net, [rat(2, 5), ONE]) == [rat(2, 5)]
 
 
+def test_circuit_merges_outputs_into_the_last_stage():
+    # Outputs at depths 3 and 1, an input passed straight through, and one
+    # ref declared under two names.  The deepest output sets the depth, no
+    # selection layer follows it, and the last layer holds the outputs'
+    # own neurons in declaration order.
+    c = Circuit({"x": 0, "y": 1})
+    x, y = c.input("x"), c.input("y")
+    s = c.relu([(1, x), (1, y)], bias=rat(-1, 2))  # depth 1
+    m = c.min_(s, y)  # depth 3
+    for name, ref in (("min", m), ("sum", s), ("x", x), ("min-again", m)):
+        c.output(name, ref)
+    net = c.build()
+    assert len(net.layers) == 3 and net.output_dim == 4
+    last = net.layers[-1].neurons
+    assert last[0] == last[3] and last[0] != last[1]
+    rng = random.Random(11)
+    for _ in range(60):
+        a, b = (rat(rng.randint(0, 12), rng.randint(1, 6)) for _ in range(2))
+        total = max(a + b - rat(1, 2), ZERO)
+        assert fnn_eval(net, [a, b]) == [min(total, b), total, a, min(total, b)]
+    # One row per distinct neuron: the sum, relu(sum - y) and the min,
+    # declared twice; every carry is a copy lane.
+    prog = net.program
+    assert len(prog.rows) == 3
+    assert prog.outputs[0] == prog.outputs[3]
+
+
+def test_lower_shares_rows_with_the_same_merged_terms():
+    # Three spellings of relu(1/2 + x0 + 2*x1), in one layer and the next
+    # over the same input registers, and one neuron that differs only in
+    # its bias.
+    same = (
+        (rat(1, 2), ((0, ONE), (1, rat(2)))),
+        (rat(1, 2), ((1, ONE), (0, ONE), (1, ONE))),
+    )
+    other = (rat(1, 3), ((0, ONE), (1, rat(2))))
+    first = FnnLayer(2, same + (other, (ZERO, ((0, ONE),)), (ZERO, ((1, ONE),))))
+    second = FnnLayer(5, (
+        (ZERO, ((0, ONE),)),
+        (ZERO, ((1, ONE),)),
+        (ZERO, ((2, ONE),)),
+        (rat(1, 2), ((3, ONE), (4, rat(2)))),
+    ))
+    net = Fnn((first, second))
+    prog = net.program
+    assert len(prog.rows) == 2
+    assert prog.outputs[0] == prog.outputs[1] == prog.outputs[3] != prog.outputs[2]
+    v = [rat(1, 3), rat(5, 7)]
+    want = rat(1, 2) + v[0] + 2 * v[1]
+    assert fnn_eval(net, v) == [want, want, want - rat(1, 6), want]
+
+
 # ---------------------------------------------------------------------------
 # Boolean layer (the builders' write_flags)
 

@@ -9,6 +9,8 @@ from pmlc.logic import (
     Modal,
     Modality,
     Not,
+    PeanoAnd,
+    PeanoNot,
     Prop,
     flatten_global,
     parse_formula,
@@ -176,6 +178,29 @@ def test_models_survives_formulas_deeper_than_the_stack():
     assert models(PointedGraph(g, 0), Not(chain)) is False
     wrapped = Modal((Modality.TOP,), parse_peano("x1 >= 1"), (chain,))
     assert models(PointedGraph(g, 1), wrapped) is True
+
+
+def test_models_survives_constraints_deeper_than_the_stack():
+    # The 5,000-deep PeanoNot chain of test_logic (an even number of
+    # negations over x1 >= 1), and a 5,000-deep PeanoAnd chain over it,
+    # both built through the constructors.
+    chain = parse_peano("x1 >= 1")
+    for _ in range(5000):
+        chain = PeanoNot(chain)
+    conj = parse_peano("x1 <= 2")
+    for _ in range(5000):
+        conj = PeanoAnd(chain, conj)
+    g = graph_of(3, 1, [(0, 1)], [(1,), (0,), (0,)])
+    empty = graph_of(3, 1, [], [(0,), (0,), (0,)])
+    for psi in (chain, conj):
+        assert eval_peano(psi, (1,)) is True and eval_peano(psi, (0,)) is False
+        top = Modal((Modality.TOP,), psi, (Prop(0),))
+        out = Modal((Modality.E_OUT,), psi, (Prop(0),))
+        assert models(PointedGraph(g, 2), top) is True
+        assert models(PointedGraph(empty, 0), top) is False
+        assert [models(PointedGraph(g, v), out) for v in range(3)] == [False] * 3
+        assert models(PointedGraph(g, 1), Not(Not(top))) is True
+    assert eval_peano(conj, (3,)) is False
 
 
 def test_models_survives_deep_modal_nesting():
