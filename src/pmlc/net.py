@@ -11,12 +11,15 @@ The building blocks:
 * ``Program`` — an Fnn lowered once (cached as ``Fnn.program``) to integer
   rows that run once over the columns of all nodes, one denominator per
   column.  Identity carries become copy lanes, neurons that feed no output
-  are dropped, and the program records which inputs it reads.
+  are dropped, neurons with the same bias and terms share one row, and
+  the program records which inputs it reads.
   ``fnn_eval`` (on one-node columns) and the message-passing evaluator
   both run it.
 * ``Circuit`` — a named-port builder that assembles neurons into one Fnn,
   padding depth mismatches with identity ReLUs (sound because every
-  routed value is nonnegative).  It carries the one gadget set the
+  routed value is nonnegative).  The Fnn's last layer is the output
+  neurons themselves, in declaration order; no layer follows only to
+  re-emit them.  It carries the one gadget set the
   compilers use: ``min_``, ``mask01``, ``flag_at``, ``not_at``,
   ``and_at`` and ``sum_of``.  Every scale a gadget works at is a ref.
 """

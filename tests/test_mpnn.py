@@ -193,17 +193,10 @@ def test_dimension_names_are_validated():
     with pytest.raises(ValueError):
         Mpnn(1, (layer,), CertaintyDescriptor(0), False, "any",
              dimension_names=(("a", "b"),))
-    with pytest.raises(ValueError):
-        Mpnn(1, (layer,), CertaintyDescriptor(0), False, "any",
-             dimension_names=(("bad name",),))
-
-
-@pytest.mark.parametrize("name", ["", " ", "a\tb", "lead ing", "end\n", "nb\u00a0sp", "\u2003x"])
-def test_dimension_names_reject_empty_and_any_whitespace(name):
-    layer = _layer([(0, [(0, 1)])], 1, 1)
-    with pytest.raises(ValueError):
-        Mpnn(1, (layer,), CertaintyDescriptor(0), False, "any",
-             dimension_names=((name,),))
+    for bad in ("bad name", "", " ", "a\tb", "end\n", "nb\u00a0sp", "\u2003x"):
+        with pytest.raises(ValueError):
+            Mpnn(1, (layer,), CertaintyDescriptor(0), False, "any",
+                 dimension_names=((bad,),))
     Mpnn(1, (layer,), CertaintyDescriptor(0), False, "any",
          dimension_names=(("a#1.2_x",),))
 
