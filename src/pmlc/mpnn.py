@@ -18,6 +18,13 @@ where the API returns them.  Every comb input is nonnegative (labels are
 0/1, states are ReLU outputs, and aggregates are means, sums or maxima of
 those), which the programs' copy lanes need.
 
+Aggregation scatters along edges rather than gathering over each node's
+neighbourhood: it visits only a column's nonzero nodes and adds each value
+into every group that holds its node (or compares it, for max).  Since
+columns are nonnegative that is exact, and it is cheap on the streams the
+local constructions mask by the focus mark, which are zero almost
+everywhere.
+
 Judgement reads the focus node's last state dimension and compares it
 against the recognition value n^(-e): compiled networks either hit it
 exactly or land on exactly 0, and anything else is reported as malformed
@@ -32,6 +39,7 @@ import enum
 import functools
 import random
 from dataclasses import dataclass
+from itertools import compress
 from math import lcm
 from typing import Optional, Sequence
 
@@ -78,31 +86,51 @@ def mean_scale(groups: Sequence[Sequence[int]]) -> tuple[int, Optional[list[int]
 def aggregate(
     a: Aggregator,
     col: Column,
-    groups: Sequence[Sequence[int]],
+    members: Sequence[Sequence[int]],
+    width: int,
     scale: tuple[int, Optional[list[int]]],
 ) -> Column:
-    """Combine the column ``col`` over each group of nodes: one numerator
-    per group, over one denominator.  An empty group gives 0.
+    """Combine the column ``col`` over ``width`` groups of nodes: one
+    numerator per group, over one denominator.  ``members[u]`` lists the
+    groups that hold node ``u``; an empty group gives 0.
+
+    Only the column's nonzero entries are read: each is added into, or for
+    a maximum compared with, every group that holds its node.  That is
+    exact because every column is nonnegative, so the zeros add nothing
+    and a maximum over the nonzero entries, 0 when there are none, is the
+    maximum over the whole group.
 
     Sums and maxima keep the column's denominator ``d``.  A mean has the
-    denominator ``d * L`` and scales group ``k`` by ``L / len(groups[k])``;
-    ``scale`` is ``mean_scale(groups)``, computed once per group list and
+    denominator ``d * L`` and scales group ``k`` by ``L / size_k``;
+    ``scale`` is ``mean_scale`` of the groups, computed once per graph and
     read only by means.
     """
     nums, den = col
-    at = nums.__getitem__
+    if len(nums) != len(members):
+        raise ValueError(
+            f"the column has {len(nums)} nodes, the member lists {len(members)}"
+        )
+    out = [0] * width
     try:
         if a is Aggregator.MAX:
-            return [max(map(at, grp), default=0) for grp in groups], den
-        sums = [sum(map(at, grp)) for grp in groups]
+            for u in compress(range(len(nums)), nums):
+                x = nums[u]
+                for k in members[u]:
+                    if out[k] < x:
+                        out[k] = x
+            return out, den
+        for u in compress(range(len(nums)), nums):
+            x = nums[u]
+            for k in members[u]:
+                out[k] += x
     except IndexError:
-        raise ValueError("a group names a node the column lacks") from None
+        raise ValueError("a node is a member of a group past the width") from None
     if a is Aggregator.SUM:
-        return sums, den
+        return out, den
     top, factors = scale
     if factors is not None:
-        sums = [x * f for x, f in zip(sums, factors)]
-    return sums, den * top
+        out = [x * f for x, f in zip(out, factors)]
+    return out, den * top
 
 
 # ---------------------------------------------------------------------------
@@ -227,12 +255,13 @@ def _states_after(m: Mpnn, g: Graph, keep_trace: bool) -> list[list[Column]]:
     tables = [cols]
     ins = [neigh(g, v, "in") for v in nodes]
     outs = [neigh(g, v, "out") for v in nodes]
-    # The node groups of the in, out and global ports, with their mean scales.
-    everyone = (nodes,)
+    # Each port as (members, group count, mean scale): node u's value goes
+    # to the nodes it has edges into on the in port, to those it has edges
+    # from on the out port, and to the one group of the global port.
     hoods = (
-        (ins, mean_scale(ins)),
-        (outs, mean_scale(outs)),
-        (everyone, mean_scale(everyone)),
+        (outs, n, mean_scale(ins)),
+        (ins, n, mean_scale(outs)),
+        (((0,),) * n, 1, mean_scale((nodes,))),
     )
     for layer in m.layers:
         aggregators = (layer.loc_in, layer.loc_out, layer.glob)
@@ -242,8 +271,10 @@ def _states_after(m: Mpnn, g: Graph, keep_trace: bool) -> list[list[Column]]:
             if port == 0:
                 inputs.append(cols[dim])
                 continue
-            groups, scale = hoods[port - 1]
-            nums, den = aggregate(aggregators[port - 1], cols[dim], groups, scale)
+            members, width, scale = hoods[port - 1]
+            nums, den = aggregate(
+                aggregators[port - 1], cols[dim], members, width, scale
+            )
             inputs.append((nums * n if port == 3 else nums, den))
         cols = fnn_eval(layer.comb, inputs, n)
         if keep_trace:
@@ -431,6 +462,13 @@ def parse_mpnn(text: str) -> Mpnn:
     layer_count = _int_field(r.next("layers"), "layers")
     if layer_count < 0:
         raise MpnnFormatError(f"negative layer count {layer_count}")
+    # A layer divides by a node count at most once (in its means), so the
+    # compiled networks reach n^(-e) only with e <= layers; a larger exponent
+    # would only make ``judge`` compute n ** e without bound.
+    if exponent > layer_count:
+        raise MpnnFormatError(
+            f"certainty exponent {exponent} exceeds the layer count {layer_count}"
+        )
     # One table per parse: a repeated neuron line, term or rational is
     # parsed once, and the network holds one object for all its copies.
     shared: dict[str, object] = {}

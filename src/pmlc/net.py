@@ -27,6 +27,7 @@ The building blocks:
 from __future__ import annotations
 
 import functools
+from itertools import repeat
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -141,12 +142,20 @@ class Program:
             for r, _c in terms:
                 if den % regs[r][1]:
                     den = lcm(den, regs[r][1])
-            acc = [bias * den] * n
-            for r, c in terms:
+            # The bias enters with the first term's pass and the ReLU with
+            # the last term's; a row with no terms is relu(bias).
+            acc = repeat(bias * den, n)
+            for r, c in terms[:-1]:
                 xs, d = regs[r]
                 c *= den // d
                 acc = [a + c * x for a, x in zip(acc, xs)]
-            nums = [a if a > 0 else 0 for a in acc]
+            if terms:
+                r, c = terms[-1]
+                xs, d = regs[r]
+                c *= den // d
+                nums = [y if (y := a + c * x) > 0 else 0 for a, x in zip(acc, xs)]
+            else:
+                nums = [bias if bias > 0 else 0] * n
             den *= scale
             if den > 1:
                 g = gcd(den, *nums)
@@ -226,6 +235,15 @@ def fnn_eval(n: Fnn, inputs: Sequence[RationalLike]) -> list[Rational]:
 # Circuit builder
 
 
+# The gadgets weigh by a handful of small integers, tens of thousands of
+# times per bank of networks; each of them is built as a Fraction once.
+_int_rational = functools.lru_cache(maxsize=64)(rat)
+
+
+def _exact(w: RationalLike) -> Rational:
+    return _int_rational(w) if type(w) is int else rat(w)
+
+
 @dataclass(frozen=True)
 class Ref:
     """Handle to a value inside a circuit: an input port or a neuron."""
@@ -246,6 +264,7 @@ class Circuit:
 
     def __init__(self, inputs: Mapping[str, int], width: Optional[int] = None):
         self._inputs = dict(inputs)
+        self._ports: dict[str, Ref] = {}  # each input port's Ref, built on first use
         used = max(self._inputs.values(), default=-1) + 1
         self._width = used if width is None else width
         if self._width < used:
@@ -256,7 +275,10 @@ class Circuit:
         self._outputs: list[tuple[str, Ref]] = []
 
     def input(self, name: str) -> Ref:
-        return Ref("in", self._inputs[name], 0)
+        ref = self._ports.get(name)
+        if ref is None:
+            ref = self._ports[name] = Ref("in", self._inputs[name], 0)
+        return ref
 
     def _alloc(
         self, depth: int, bias: Rational, terms: list[tuple[Ref, Rational]]
@@ -280,10 +302,10 @@ class Circuit:
         terms: Iterable[tuple[RationalLike, Ref]],
         bias: RationalLike = 0,
     ) -> Ref:
-        terms = [(rat(w), r) for w, r in terms]
+        terms = [(_exact(w), r) for w, r in terms]
         depth = 1 + max((r.depth for _w, r in terms), default=0)
         lifted = [(self._lift(r, depth - 1), w) for w, r in terms]
-        return self._alloc(depth, rat(bias), lifted)
+        return self._alloc(depth, _exact(bias), lifted)
 
     # -- gadgets ------------------------------------------------------
     # Flags are 0/1; a truth value "at scale s" lies in {0, s}.  Scales

@@ -265,6 +265,21 @@ def test_eval_rejects_corrupt_network_file(tmp_path, capsys):
     assert main(["eval", bad, g]) == 2
 
 
+def test_eval_rejects_a_certainty_exponent_past_the_layer_count(tmp_path, capsys):
+    net = compiled(tmp_path, "<top>{x1 >= 1}(p0)", "global-shallow")
+    text = open(net).read()
+    layers = len(parse_mpnn(text).layers)
+    g = graph_file(tmp_path, "g.graph", 3, 2, [(0, 1)], [(1, 1), (0, 0), (0, 0)])
+    for exponent, code in ((layers, 0), (layers + 1, 2)):
+        lines = [
+            f"certainty {exponent}" if line.startswith("certainty ") else line
+            for line in text.splitlines()
+        ]
+        path = write(tmp_path, f"e{exponent}.mpnn", "\n".join(lines) + "\n")
+        assert main(["eval", path, g]) == code
+    assert "certainty exponent" in capsys.readouterr().err
+
+
 def test_eval_rejects_a_negative_layer_count(tmp_path, capsys):
     net = compiled(tmp_path, "p0", "global-shallow")
     text = open(net).read()

@@ -21,7 +21,7 @@ import pytest
 
 from pmlc.compiler import ALL_TARGETS, compile, format_report
 from pmlc.graphs import class_instance
-from pmlc.logic import parse_formula
+from pmlc.logic import parse_formula, print_formula
 from pmlc.mpnn import judge, print_mpnn
 
 from targets import bank
@@ -108,6 +108,14 @@ def test_bank_networks_match_golden_digests(target):
     assert len(got) == len(want) and not changed, (
         f"{target.name}: bank formulas {changed} changed"
     )
+
+
+def test_every_golden_pair_keeps_its_certainty_exponent_within_its_layers():
+    pairs = [(t.name, phi) for t in ALL_TARGETS for phi in bank(t.name)]
+    pairs += [(name, parse_formula(text)) for name, text in EXTRA]
+    for name, phi in pairs:
+        net, _report = compile(phi, name)
+        assert net.certainty.exponent <= len(net.layers), (name, print_formula(phi))
 
 
 def test_extra_networks_match_golden_digests():

@@ -4,6 +4,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pmlc.graphs import Graph, PointedGraph, gen_pointed, parse_graph, print_graph
 from pmlc.mpnn import (
@@ -35,8 +36,18 @@ MEAN, SUM, MAX = Aggregator.MEAN, Aggregator.SUM, Aggregator.MAX
 # Aggregation
 
 
+def _members(groups, n):
+    """For each of ``n`` nodes, the indices of the groups that hold it."""
+    members = [[] for _ in range(n)]
+    for k, grp in enumerate(groups):
+        for u in grp:
+            members[u].append(k)
+    return members
+
+
 def _aggregate(a, col, groups):
-    return aggregate(a, col, groups, mean_scale(groups))
+    members = _members(groups, len(col[0]))
+    return aggregate(a, col, members, len(groups), mean_scale(groups))
 
 
 def _agg(a, rows, dim):
@@ -95,7 +106,7 @@ def test_mean_uses_one_denominator_over_the_degree_lcm():
     col = ([1, 5, 2, 7], 3)
     groups = [(0, 1), (1, 2, 3), ()]
     assert mean_scale(groups) == (6, [3, 2, 0])
-    assert aggregate(MEAN, col, groups, mean_scale(groups)) == ([18, 28, 0], 18)
+    assert _aggregate(MEAN, col, groups) == ([18, 28, 0], 18)
     # Equal nonzero sizes need no scaling, empty groups included.
     assert mean_scale([(0, 1), (), (2, 3)]) == (2, None)
     assert _aggregate(MEAN, col, [(0, 1), (), (2, 3)]) == ([6, 0, 9], 6)
@@ -103,8 +114,75 @@ def test_mean_uses_one_denominator_over_the_degree_lcm():
 
 
 def test_aggregate_checks_group_members():
-    with pytest.raises(ValueError):
-        _aggregate(SUM, ([1, 0], 1), [(0, 2)])
+    for a in (MEAN, SUM, MAX):
+        # A column of two nodes against member lists of three, and of one.
+        with pytest.raises(ValueError):
+            aggregate(a, ([1, 0], 1), [(0,), (0,), (0,)], 1, (1, None))
+        with pytest.raises(ValueError):
+            aggregate(a, ([1, 0], 1), [(0,)], 1, (1, None))
+        # Node 0 is a member of group 2, past the width of 2.
+        with pytest.raises(ValueError):
+            aggregate(a, ([1, 0], 1), [(2,), ()], 2, (1, None))
+
+
+def _gather(a, col, groups):
+    """The aggregate read group by group over every member: the plain
+    definition the scatter in ``aggregate`` must reproduce exactly."""
+    nums, den = col
+    if a is MAX:
+        return [max((nums[u] for u in grp), default=0) for grp in groups], den
+    sums = [sum(nums[u] for u in grp) for grp in groups]
+    if a is SUM:
+        return sums, den
+    top = math.lcm(*{len(grp) for grp in groups if grp})
+    return [x * top // len(grp) if grp else 0 for x, grp in zip(sums, groups)], den * top
+
+
+@st.composite
+def _graphs_and_columns(draw):
+    """A graph of 0-9 nodes, self-loops and isolated nodes allowed, with a
+    mostly-zero nonnegative column."""
+    n = draw(st.integers(0, 9))
+    nodes = st.integers(0, max(n - 1, 0))
+    edges = draw(st.sets(st.tuples(nodes, nodes), max_size=3 * n)) if n else set()
+    values = st.one_of(st.just(0), st.just(0), st.just(0), st.integers(0, 50))
+    nums = draw(st.lists(values, min_size=n, max_size=n))
+    den = draw(st.integers(1, 12))
+    return Graph(n, 1, frozenset(edges), ((0,),) * n), (nums, den)
+
+
+@given(_graphs_and_columns(), st.sampled_from(list(Aggregator)))
+@settings(max_examples=300, deadline=None)
+def test_aggregate_matches_gathering_on_every_port(graph_and_col, a):
+    g, col = graph_and_col
+    n = g.node_count
+    ins, outs = g.adjacency
+    everyone = (range(n),)
+    # The ports of _states_after: in-groups reached through the out lists,
+    # out-groups through the in lists, and the one global group.
+    for groups, members in ((ins, outs), (outs, ins), (everyone, ((0,),) * n)):
+        want = _gather(a, col, groups)
+        assert aggregate(a, col, members, len(groups), mean_scale(groups)) == want
+        assert _aggregate(a, col, groups) == want
+
+
+class _CountingList(list):
+    reads = 0
+
+    def __getitem__(self, i):
+        type(self).reads += 1
+        return super().__getitem__(i)
+
+
+def test_aggregate_reads_only_the_nonzero_entries():
+    nums = _CountingList([0, 4, 0, 0, 7, 0, 0, 0])
+    groups = [range(8), (1, 2, 3), (0, 5), (4, 4, 6), ()]
+    members = _members(groups, len(nums))
+    for a in (MEAN, SUM, MAX):
+        _CountingList.reads = 0
+        got = aggregate(a, (nums, 5), members, len(groups), mean_scale(groups))
+        assert _CountingList.reads == 2, a
+        assert got == _gather(a, (list(nums), 5), groups)
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +476,7 @@ def test_round_trip_with_metadata_and_dims():
     net = Mpnn(
         colours=2,
         layers=(layer,),
-        certainty=CertaintyDescriptor(3),
+        certainty=CertaintyDescriptor(1),
         inverted=True,
         required_class="strong",
         mark_colour=1,
