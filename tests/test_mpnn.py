@@ -163,14 +163,15 @@ def test_aggregate_matches_gathering_on_every_port(graph_and_col, a):
     for groups, members in ((ins, outs), (outs, ins), (everyone, ((0,),) * n)):
         want = _gather(a, col, groups)
         assert aggregate(a, col, members, len(groups), mean_scale(groups)) == want
-        assert _aggregate(a, col, groups) == want
 
 
 class _CountingList(list):
+    """A list that counts its reads by index."""
+
     reads = 0
 
     def __getitem__(self, i):
-        type(self).reads += 1
+        self.reads += 1
         return super().__getitem__(i)
 
 
@@ -179,9 +180,9 @@ def test_aggregate_reads_only_the_nonzero_entries():
     groups = [range(8), (1, 2, 3), (0, 5), (4, 4, 6), ()]
     members = _members(groups, len(nums))
     for a in (MEAN, SUM, MAX):
-        _CountingList.reads = 0
+        nums.reads = 0
         got = aggregate(a, (nums, 5), members, len(groups), mean_scale(groups))
-        assert _CountingList.reads == 2, a
+        assert nums.reads == 2, a
         assert got == _gather(a, (list(nums), 5), groups)
 
 
