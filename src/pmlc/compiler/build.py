@@ -2,19 +2,21 @@
 
 Networks are assembled layer by layer over *named dimensions*.  Each layer
 is a combination Fnn reading the standard concatenated port layout
-[previous state, in-aggregate, out-aggregate, global aggregate]; the
-builder tracks dimension names so a value written under a name in one
-layer can be read back (directly or through an aggregation port) in the
-next.  All intermediate values are nonnegative by construction, which is
-what keeps the ReLU identity-carries and the masking gadgets sound.
+[previous state, in-aggregate, out-aggregate, global aggregate].  Builders
+only write dims and read them; a value read several layers after its
+write is routed there by the ``NetBuilder``, through identity carries in
+the layers between, and at the end each layer emits exactly the dims the
+next one reads (the last one only ``out``).  All intermediate values are
+nonnegative by construction, which is what keeps the ReLU identity
+carries and the masking gadgets sound.
 
 ``LayerPlan`` is a :class:`~pmlc.net.Circuit`, so every builder uses the
 one gadget set defined there.  Every builder starts from one
 ``Scaffold``, the part all constructions share: colours and mark colour
-from the target's class, the flag layer and ``mk``, the standing dims
-every later layer re-emits, the verdict layer and the ``n^(-e)``
-contract.  Each monomial pipeline is one ``Stream``, whatever
-modalities its factors count on.  Scale conventions used throughout:
+from the target's class, the flag layer and ``mk``, the root check and
+the ``n^(-e)`` contract.  Each monomial pipeline is one ``Stream``,
+whatever modalities its factors count on.  Scale conventions used
+throughout:
 
 * flags are 0/1; ``mask01(y, flag)`` multiplies a value ``y`` in [0, 1] by
   a 0/1 flag; ``write_flags`` computes the first layer's flags for every
@@ -28,7 +30,7 @@ modalities its factors count on.  Scale conventions used throughout:
   underlying counts guarantees a violated atom overshoots ``r2``;
 * before the check every monomial pipeline and the unit must share one
   denominator: a ``Ledger`` counts the mean divisions a pipeline still
-  owes, and ``LayerPlan.hop`` pays one of them or carries the value.
+  owes, and ``LayerPlan.hop`` pays one of them or leaves the value.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from ..logic import (
     subformulas_ordered,
 )
 from ..mpnn import Aggregator, CertaintyDescriptor, Mpnn, MpnnLayer
-from ..net import Circuit, Ref
+from ..net import Circuit, Fnn, Ref
 
 
 class FragmentMismatch(ValueError):
@@ -70,36 +72,26 @@ _AGG_BLOCKS = {"in": 1, "out": 2, "glob": 3}
 
 
 class LayerPlan(Circuit):
-    """One message-passing layer under construction.
+    """Message-passing layer ``k`` (1-based) under construction.
 
-    A :class:`Circuit` whose inputs are the 4*D combination ports of the
-    previous layer's D named dimensions.  The in and out ports aggregate
-    with ``local``, the global port with mean.  Outputs are declared in order;
-    the dimension written last is the network's verdict dimension when
-    this is the final layer.
+    A :class:`Circuit` whose inputs are the previous layer's named dims on
+    the combination ports: the state, the in and out aggregates, which use
+    ``local``, and the global mean.  Reading a dim asks the builder to
+    route it here from its latest write.  Which dims the layer outputs,
+    and where each port sits, is settled by ``NetBuilder.assemble``.
     """
 
-    def __init__(
-        self,
-        builder: "NetBuilder",
-        in_names: Sequence[str],
-        local: Aggregator = Aggregator.MEAN,
-    ):
-        self.D = len(in_names)
-        super().__init__({f"q{i}": i for i in range(4 * self.D)}, width=4 * self.D)
+    def __init__(self, builder: "NetBuilder", k: int, local: Aggregator):
+        super().__init__({})
         self._b = builder
-        self._index = {nm: i for i, nm in enumerate(in_names)}
+        self.k = k
         self.local = local
-        self._declared: set = set()
 
     # -- ports --------------------------------------------------------
 
     def _port(self, block: int, name: str) -> Ref:
-        try:
-            i = self._index[name]
-        except KeyError:
-            raise KeyError(f"dimension {name!r} does not exist at this layer")
-        return self.input(f"q{block * self.D + i}")
+        self._b.route(name, self.k - 1)
+        return self.input((block, name))
 
     def prev(self, name: str) -> Ref:
         return self._port(0, name)
@@ -116,26 +108,34 @@ class LayerPlan(Circuit):
     # -- outputs ------------------------------------------------------
 
     def set(self, name: str, ref: Ref) -> None:
-        if name in self._declared:
+        if name in self._outputs:
             raise ValueError(f"dimension {name!r} written twice in one layer")
-        self._declared.add(name)
         self.output(name, ref)
-
-    def carry(self, *names: str) -> None:
-        """Re-emit previous-layer values unchanged (they are nonnegative)."""
-        for nm in names:
-            self.set(nm, self.relu([(1, self.prev(nm))]))
 
     def hop(self, name: str, port: Optional[str], gate: Callable[[Ref], Ref]) -> None:
         """Write ``gate`` of ``name``'s aggregate on ``port`` (one mean
-        division), or carry ``name`` when ``port`` is None."""
-        if port is None:
-            self.carry(name)
-        else:
+        division); with ``port`` None the value stays as it is."""
+        if port is not None:
             self.set(name, gate(self.agg(port, name)))
 
-    def done(self) -> None:
-        self._b._commit(self, self.build(), self.output_names())
+    def comb(self, outs: Sequence[str]) -> Tuple[Fnn, Tuple[str, ...]]:
+        """This layer's Fnn emitting ``outs``, and the previous layer's
+        dims its neurons read, in that layer's order of writing; the
+        label bits' ports sit at their colour."""
+        ins: List[str] = []
+
+        def ports(read):
+            names = {name for _block, name in read}
+            if self.k == 1:
+                width, at = self._b.colours, {nm: int(nm[1:]) for nm in names}
+            else:
+                ins.extend(
+                    nm for nm in self._b.plans[self.k - 2].output_names() if nm in names
+                )
+                width, at = len(ins), {nm: i for i, nm in enumerate(ins)}
+            return {(b, nm): b * width + at[nm] for b, nm in read}, 4 * width
+
+        return self.build(outs, ports), tuple(ins)
 
     # -- constraint gadgets -------------------------------------------
 
@@ -200,32 +200,62 @@ class LayerPlan(Circuit):
 
 
 class NetBuilder:
-    """Accumulates message-passing layers over named dimensions."""
+    """Message-passing layers over named dims, routed on demand.
+
+    Builders only write dims (``LayerPlan.set``) and read them (``prev``,
+    ``agg``, ``glob``).  A read in layer j of a dim last written in layer
+    i < j - 1 carries it through identity ReLUs in layers i+1 .. j-1,
+    once per dim and layer; the label bits ``c<i>`` are layer 0.  The
+    plans stay open until ``assemble``.
+    """
 
     def __init__(self, colours: int):
         self.colours = colours
-        self.layers: List[MpnnLayer] = []
-        self.dim_names: List[Tuple[str, ...]] = []
-        self._names: Tuple[str, ...] = tuple(f"c{i}" for i in range(colours))
+        self.plans: List[LayerPlan] = []
 
     def layer(self, extra: Optional[Aggregator] = None) -> LayerPlan:
         """A new layer whose in and out ports use ``extra`` (mean when
         unset); the global port is always mean."""
-        return LayerPlan(self, self._names, Aggregator.MEAN if extra is None else extra)
+        plan = LayerPlan(self, len(self.plans) + 1, extra or Aggregator.MEAN)
+        self.plans.append(plan)
+        return plan
 
-    def _commit(self, plan: LayerPlan, fnn, out_names: Tuple[str, ...]) -> None:
-        self.layers.append(
-            MpnnLayer(
-                comb=fnn,
-                loc_in=plan.local,
-                loc_out=plan.local,
-                glob=Aggregator.MEAN,
-                in_dim=plan.D,
-                out_dim=len(out_names),
+    def route(self, name: str, k: int) -> None:
+        """Make layer ``k`` hold ``name``: carry it from its latest write."""
+        i = k
+        while i > 0 and name not in self.plans[i - 1]._outputs:
+            i -= 1
+        if i == 0 and not (
+            name[:1] == "c" and name[1:].isdigit() and int(name[1:]) < self.colours
+        ):
+            raise KeyError(f"dimension {name!r} does not exist at layer {k}")
+        for plan in self.plans[i:k]:
+            plan.set(name, plan.input((0, name)))
+
+    def assemble(
+        self, outs: Sequence[str] = ("out",)
+    ) -> Tuple[Tuple[MpnnLayer, ...], Tuple[Tuple[str, ...], ...]]:
+        """The layers and their dim names.  The last layer outputs
+        ``outs``, and every other one exactly the dims the next layer's
+        neurons read."""
+        layers: List[MpnnLayer] = []
+        dims: List[Tuple[str, ...]] = []
+        outs = tuple(outs)
+        for plan in reversed(self.plans):
+            fnn, ins = plan.comb(outs)
+            layers.append(
+                MpnnLayer(
+                    comb=fnn,
+                    loc_in=plan.local,
+                    loc_out=plan.local,
+                    glob=Aggregator.MEAN,
+                    in_dim=fnn.input_dim // 4,
+                    out_dim=len(outs),
+                )
             )
-        )
-        self._names = out_names
-        self.dim_names.append(out_names)
+            dims.append(outs)
+            outs = ins
+        return tuple(reversed(layers)), tuple(reversed(dims))
 
 
 class Scaffold(NetBuilder):
@@ -233,12 +263,11 @@ class Scaffold(NetBuilder):
 
     The colours are the label bits of ``source`` (``phi`` itself unless
     ``phi`` is its flattened form) plus, unless the class is ``any``, one
-    colour ``mark`` (label bit ``mark_bit``) for the focus mark.  ``flats``
-    and ``modals`` list ``phi``'s modal-free subformulas and modal nodes in
-    canonical order, and ``names`` names each flag.  ``first`` writes the
-    flags and the mark dim ``mk``; every later ``layer`` re-emits the
-    ``standing`` dims first, and the ``verdict`` layer re-emits nothing.
-    ``finish`` builds the ``n^(-e)`` contract.
+    colour ``mark`` (label bit ``mark_bit``) for the focus mark.
+    ``modals`` lists ``phi``'s modal nodes and ``names`` names the flag of
+    each modal-free subformula, both in canonical order.  ``first`` writes the
+    flags and the mark dim ``mk``; ``finish`` builds the ``n^(-e)``
+    contract.
     """
 
     def __init__(
@@ -253,34 +282,18 @@ class Scaffold(NetBuilder):
         self.klass = klass
         self.text = print_formula(source)
         subs = subformulas_ordered(phi)
-        self.flats = [s for s in subs if modal_depth(s) == 0]
+        flats = [s for s in subs if modal_depth(s) == 0]
         self.modals = [s for s in subs if isinstance(s, Modal)]
-        self.names = {s: f"f{i}" for i, s in enumerate(self.flats)}
-        self.standing: List[str] = []
+        self.names = {s: f"f{i}" for i, s in enumerate(flats)}
 
-    def first(self) -> Tuple[LayerPlan, Dict[PmlFormula, Ref]]:
+    def first(self) -> Tuple[LayerPlan, Callable[[PmlFormula], Ref]]:
         """The first layer, holding every flag and (on marked classes)
-        ``mk``, both standing; also the truth refs ``write_flags`` made."""
-        plan = NetBuilder.layer(self)
-        memo = write_flags(plan, self.flats, self.names)
-        self.standing = [self.names[s] for s in self.flats]
+        ``mk``; also the truth of each modal-free formula there."""
+        plan = self.layer()
+        truth = write_flags(plan, self.names)
         if self.mark is not None:
-            self.stand(plan, "mk", plan.prev(self.mark_bit))
-        return plan, memo
-
-    def stand(self, plan: LayerPlan, name: str, ref: Ref) -> None:
-        """Write ``name`` and re-emit it in every later ``layer``."""
-        plan.set(name, ref)
-        self.standing.append(name)
-
-    def layer(self, extra: Optional[Aggregator] = None) -> LayerPlan:
-        plan = super().layer(extra)
-        plan.carry(*self.standing)
-        return plan
-
-    def verdict(self) -> LayerPlan:
-        """The last layer: mean ports, nothing re-emitted."""
-        return NetBuilder.layer(self)
+            plan.set("mk", plan.prev(self.mark_bit))
+        return plan, truth
 
     def check(self, plan: LayerPlan, modal: Callable[[Modal], Ref], scale: Ref) -> None:
         """Write ``out``: ``phi``'s skeleton at ``scale`` over the modal
@@ -302,15 +315,16 @@ class Scaffold(NetBuilder):
         return leaf
 
     def finish(self, exponent: int, inverted: bool = False) -> Mpnn:
+        layers, dims = self.assemble()
         return Mpnn(
             colours=self.colours,
-            layers=tuple(self.layers),
+            layers=layers,
             certainty=CertaintyDescriptor(exponent),
             inverted=inverted,
             required_class=self.klass,
             mark_colour=self.mark,
             formula_text=self.text,
-            dimension_names=tuple(self.dim_names),
+            dimension_names=dims,
         )
 
 
@@ -324,12 +338,12 @@ def opposite(direction: str) -> str:
 
 
 def write_flags(
-    plan: LayerPlan, flats: Sequence[PmlFormula], names: Dict[PmlFormula, str]
-) -> Dict[PmlFormula, Ref]:
+    plan: LayerPlan, names: Dict[PmlFormula, str]
+) -> Callable[[PmlFormula], Ref]:
     """First-layer 0/1 truth flags, read from the label bits ``c<i>``.
 
-    Writes one dimension per formula of ``flats`` (named by ``names``) and
-    returns the truth ref of every subformula it evaluated.
+    Writes one dimension per formula of ``names``, under its name, and
+    returns the memoized truth ref of any modal-free formula.
     """
     memo: Dict[PmlFormula, Ref] = {}
 
@@ -345,9 +359,9 @@ def write_flags(
                 raise ValueError("the Boolean layer only evaluates modal-free formulas")
         return memo[f]
 
-    for s in flats:
-        plan.set(names[s], truth(s))
-    return memo
+    for s, name in names.items():
+        plan.set(name, truth(s))
+    return truth
 
 
 class Ledger:
@@ -447,7 +461,6 @@ def degenerate_boolean(phi: PmlFormula, marked: bool) -> Mpnn:
     on marked colours and class ``marked``, or on plain colours and class
     ``any``."""
     sc = Scaffold(phi, "marked" if marked else "any")
-    plan = sc.verdict()
-    plan.set("out", write_flags(plan, sc.flats, sc.names)[phi])
-    plan.done()
+    plan = sc.layer()
+    plan.set("out", write_flags(plan, {})(phi))
     return sc.finish(0)

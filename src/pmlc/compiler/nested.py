@@ -32,11 +32,10 @@ sum or max aggregator the push arrives undivided (at most one sender
 per class dimension) and only focus-side pulls divide, by the receiving
 node's own degrees.  e = M-1+2KM; the verdict reads n^-e at the focus.
 
-The flags, the mark, the uniforms and the reach dims are the
-``Scaffold``'s standing dims, re-emitted by every layer but the root
-check.  Each of those layers also carries the carrier on while its
-1-based index ``len(layers) + 1`` is below e, and adds a uniform at the
-indices that need one.
+Every layer after the first moves the carrier on while its 1-based
+index is below e, and adds a uniform at the indices that need one.  The
+flags, the mark, the uniforms and the reach dims reach the layers that
+read them by routing, as every other dim does.
 """
 
 from __future__ import annotations
@@ -199,46 +198,43 @@ def build_nested(
         return plan.relu(terms, bias=bias)
 
     def pull(plan: LayerPlan, dim: Callable[[int], str], port: Optional[str]) -> None:
-        """One owed division on ``port`` (or a carry) for every class copy."""
+        """One owed division on ``port``, if any, for every class copy."""
         for ii in subsets:
             plan.hop(dim(ii), port, partial(sep, plan, ii))
 
     def open_layer(push: bool = False) -> LayerPlan:
-        """A layer after the first: the standing dims, then the carrier and
-        uniform bookkeeping for its index; a push layer's in and out ports
-        use the extra aggregator."""
-        li = len(sc.layers) + 1
+        """A layer after the first, with the carrier and uniform
+        bookkeeping for its index; a push layer's in and out ports use the
+        extra aggregator."""
         plan = sc.layer(extra if push else None)
-        if li < exponent:
+        if plan.k < exponent:
             plan.set("C", plan.mask01(plan.glob("C"), plan.prev("mk")))
-        if li in needed_u:
-            sc.stand(plan, uname(li), plan.relu([(1, plan.glob("C"))]))
+        if plan.k in needed_u:
+            plan.set(uname(plan.k), plan.relu([(1, plan.glob("C"))]))
         return plan
 
     # Layer 1: flags, mark, carrier; for M >= 2 the first reach dims and
     # uniform, for M = 1 a constant unit dim and the stage-1 seeds.
-    plan, _memo = sc.first()
+    plan = sc.first()[0]
     mkbit = plan.prev(sc.mark_bit)
     plan.set("C", plan.mask01(plan.glob(sc.mark_bit), mkbit))
     if M >= 2:
-        sc.stand(plan, uname(1), plan.relu([(1, plan.glob(sc.mark_bit))]))
+        plan.set(uname(1), plan.relu([(1, plan.glob(sc.mark_bit))]))
         for ti, trace in enumerate(tidx):
             if len(trace) == 1:
                 port = opposite(trace[0].surface)
-                sc.stand(
-                    plan,
+                plan.set(
                     f"y{ti}",
                     plan.min_(plan.glob(sc.mark_bit), plan.agg(port, sc.mark_bit)),
                 )
     else:
         one = plan.relu([], bias=1)
-        sc.stand(plan, uname(0), one)
+        plan.set(uname(0), one)
         for s in stage[1]:
             for ii in subsets:
                 plan.set(s.acc(ii), sep(plan, ii, one, mk_ref=mkbit))
         for ii in subsets:
             plan.set(f"U1.{ii}", sep(plan, ii, one, mk_ref=mkbit))
-    plan.done()
 
     # Remaining setup: reach dims of length i arrive at layer i, each the
     # minimum of the capped carrier mean and the parent dim's directed mean.
@@ -248,12 +244,9 @@ def build_nested(
             if len(trace) == i:
                 parent = tidx.index(trace[:-1])
                 port = opposite(trace[-1].surface)
-                sc.stand(
-                    plan,
-                    f"y{ti}",
-                    plan.min_(plan.glob("C"), plan.agg(port, f"y{parent}")),
+                plan.set(
+                    f"y{ti}", plan.min_(plan.glob("C"), plan.agg(port, f"y{parent}"))
                 )
-        plan.done()
 
     # Seeding layer: stage-1 accumulators and unit at the uniform scale.
     if M >= 2:
@@ -264,7 +257,6 @@ def build_nested(
                 plan.set(s.acc(ii), sep(plan, ii, src))
         for ii in subsets:
             plan.set(f"U1.{ii}", sep(plan, ii, src))
-        plan.done()
 
     for level in range(1, M + 1):
         ss = stage[level]
@@ -291,16 +283,10 @@ def build_nested(
             }
             unit = Ledger(ins=K, outs=K)
 
-        def carry_cb(plan: LayerPlan) -> None:
-            for c in range(len(cbs)):
-                for ii in subsets:
-                    plan.carry(f"cb{level - 1}.{c}.{ii}")
-
         for t in range(1, K + 1):
             # Push: each live accumulator travels to the counted
             # neighbourhood and is gated there by the factor child's truth.
             plan = open_layer(push=True)
-            carry_cb(plan)
             sref = plan.prev(sref_name)
             for s in ss:
                 if t <= len(s.edges):
@@ -319,26 +305,17 @@ def build_nested(
                                 ]
                             )
                         plan.set(s.rcv(ii), gated)
-                else:
+                elif extra is None:
+                    # Idle round trip, first half: park the value on the
+                    # in-neighbourhood (one regular division).
                     for ii in subsets:
-                        if extra is None:
-                            # Idle round trip, first half: park the value on
-                            # the in-neighbourhood (one regular division).
-                            plan.set(
-                                s.rcv(ii), plan.relu([(1, plan.agg("in", s.acc(ii)))])
-                            )
-                        else:
-                            plan.carry(s.acc(ii))
-            for ii in subsets:
-                if extra is None:
+                        plan.set(s.rcv(ii), plan.relu([(1, plan.agg("in", s.acc(ii)))]))
+            if extra is None:
+                for ii in subsets:
                     plan.set(vdim(ii), plan.relu([(1, plan.agg("in", udim(ii)))]))
-                else:
-                    plan.carry(udim(ii))
-            plan.done()
 
             # Pull: collect the gated values back onto the stage sites.
             plan = open_layer()
-            carry_cb(plan)
             for s in ss:
                 if t <= len(s.edges):
                     d = s.edges[t - 1][1]
@@ -354,7 +331,6 @@ def build_nested(
                     plan.set(udim(ii), sep(plan, ii, plan.agg("out", vdim(ii))))
             else:
                 pull(plan, udim, unit.pay())
-            plan.done()
 
         # Alignment zone: self-loop hops level every pipeline and the unit
         # at the stage's common denominator.
@@ -363,13 +339,12 @@ def build_nested(
             for s in ss:
                 pull(plan, s.acc, need[s.dim].pay())
             pull(plan, udim, unit.pay())
-            plan.done()
         for ledger in (unit, *need.values()):
             ledger.close()
 
         # Check layer: evaluate this stage's constraints at the check scale.
         r2name = uname(e_of(level))
-        plan = open_layer() if level < M else sc.verdict()
+        plan = open_layer() if level < M else sc.layer()
         r2 = plan.prev(r2name)
 
         zref = {}
@@ -403,15 +378,13 @@ def build_nested(
                     plan.set(s2.acc(ii), sep(plan, ii, plan.prev(r2name)))
             for ii in subsets:
                 plan.set(f"U{level + 1}.{ii}", sep(plan, ii, plan.prev(r2name)))
-            plan.done()
         else:
             sc.check(
                 plan, lambda chi: plan.sum_of([zref[(chi, ii)] for ii in subsets]), r2
             )
-            plan.done()
 
-    if len(sc.layers) != total_layers:
+    if len(sc.plans) != total_layers:
         raise RuntimeError(
-            f"nested network has {len(sc.layers)} layers, planned {total_layers}"
+            f"nested network has {len(sc.plans)} layers, planned {total_layers}"
         )
     return sc.finish(exponent)

@@ -2,11 +2,11 @@
 
 Five constructions share one playbook.  The ``Scaffold`` writes the
 first layer (every modal-free subformula as a 0/1 flag, plus the focus
-mark), re-emits those dims in every middle layer, and opens the final
-layer.  The middle layers accumulate each constraint monomial (one
-``Stream``) as a product of counts divided by a known denominator, and
-the final layer runs the constraint checks and the root's Boolean
-skeleton at the accumulated scale.  The constructions differ only in
+mark); a later layer that reads one of those dims, or any other, has it
+routed there from its latest write.  The middle layers accumulate each
+constraint monomial (one ``Stream``) as a product of counts divided by a
+known denominator, and the final layer runs the constraint checks and
+the root's Boolean skeleton at the accumulated scale.  The constructions differ only in
 which aggregations the middle layers may use and therefore in which graph
 class the result is sound on:
 
@@ -81,32 +81,28 @@ def build_global_homogeneous(phi: PmlFormula, klass: str) -> Mpnn:
         # No monomials, bound 0: the constraint reads 0 <= 0, so the
         # formula is a tautology; a constant-zero output accepts
         # everywhere under the inverted reading.
-        plan = sc.verdict()
+        plan = sc.layer()
         plan.set("out", plan.relu([]))
-        plan.done()
         return sc.finish(0, inverted=True)
 
     # The atom's monomials have distinct variable multisets, so stream h
     # is monomial h.
     ss = streams(sc.modals, "z")
-    plan, memo = sc.first()
+    plan, truth = sc.first()
     for s in ss:
-        plan.set(s.dim, memo[s.tops[0]])
-    plan.done()
+        plan.set(s.dim, truth(s.tops[0]))
 
     for t in range(2, k + 1):
         plan = sc.layer()
         for s in ss:
             gate = plan.prev(sc.names[s.tops[t - 1]])
             plan.set(s.dim, plan.mask01(plan.glob(s.dim), gate))
-        plan.done()
 
-    plan = sc.verdict()
+    plan = sc.layer()
     plan.set(
         "out",
         plan.relu([(m.coeff, plan.glob(s.dim)) for m, s in zip(monos, ss)]),
     )
-    plan.done()
     return sc.finish(k, inverted=True)
 
 
@@ -136,12 +132,11 @@ def _global_net(sc: Scaffold) -> Mpnn:
     """
     K = degree(sc.phi)
     ss = streams(sc.modals, "z")
-    plan, memo = sc.first()
+    plan, truth = sc.first()
     if K >= 1:
         for s in ss:
-            plan.set(s.dim, memo[s.tops[0]])
+            plan.set(s.dim, truth(s.tops[0]))
         plan.set("U", plan.prev(sc.mark_bit))
-    plan.done()
 
     for t in range(2, K + 1):
         plan = sc.layer()
@@ -153,12 +148,10 @@ def _global_net(sc: Scaffold) -> Mpnn:
                 gate = mk
             plan.set(s.dim, plan.mask01(plan.glob(s.dim), gate))
         plan.set("U", plan.mask01(plan.glob("U"), mk))
-        plan.done()
 
-    plan = sc.verdict()
+    plan = sc.layer()
     uref = plan.glob("U") if K >= 1 else plan.prev("mk")
     _check_layer(plan, sc, ss, plan.glob, uref, uref)
-    plan.done()
     return sc.finish(K)
 
 
@@ -198,16 +191,15 @@ def _check_layer(
 def _focus_verdict(sc: Scaffold, ss: List[Stream], exponent: int) -> Mpnn:
     """The local builders' verdict layer, checking the focus-held streams
     against the unit ``U`` and check scale ``R2``; then the contract."""
-    plan = sc.verdict()
+    plan = sc.layer()
     _check_layer(plan, sc, ss, plan.prev, plan.prev("U"), plan.prev("R2"))
-    plan.done()
     return sc.finish(exponent)
 
 
 def _first_hop(sc: Scaffold, ss: List[Stream]) -> None:
     """The flag layer, then a mean layer where the focus reads each
     stream's first child count and starts ``U`` and ``R2``."""
-    sc.first()[0].done()
+    sc.first()
     plan = sc.layer()
     mk = plan.prev("mk")
     for s in ss:
@@ -215,7 +207,6 @@ def _first_hop(sc: Scaffold, ss: List[Stream]) -> None:
         plan.set(s.dim, plan.mask01(plan.agg(d, sc.names[child]), mk))
     plan.set("U", plan.mask01(plan.agg("in", "mk"), mk))
     plan.set("R2", plan.mask01(plan.glob("mk"), mk))
-    plan.done()
 
 
 def _alignment_zone(
@@ -231,7 +222,6 @@ def _alignment_zone(
             plan.hop(dim, ledger.pay(), focus)
         plan.hop("U", unit.pay(), focus)
         plan.hop("R2", r2.pay(), focus)
-        plan.done()
     for ledger in (unit, r2, *need.values()):
         ledger.close()
 
@@ -270,7 +260,6 @@ def build_local_mean(phi: PmlFormula, klass: str) -> Mpnn:
                 plan.set(s.dim, plan.mask01(plan.agg("in", s.dim), mk))
         plan.set("U", plan.mask01(plan.agg("in", "U"), mk))
         plan.set("R2", plan.mask01(plan.glob("R2"), mk))
-        plan.done()
 
         # Pull: the focus collects the gated values back.
         plan = sc.layer()
@@ -282,7 +271,6 @@ def build_local_mean(phi: PmlFormula, klass: str) -> Mpnn:
                 plan.set(s.dim, plan.mask01(plan.agg("out", s.dim), mk))
         plan.set("U", plan.mask01(plan.agg("out", "U"), mk))
         plan.set("R2", plan.mask01(plan.glob("R2"), mk))
-        plan.done()
 
     # Odd alignment hop: every pipeline did 2K-1 divisions so far; one
     # more levels all monomials and the unit at (d_in*d_out)^-K.
@@ -292,7 +280,6 @@ def build_local_mean(phi: PmlFormula, klass: str) -> Mpnn:
         plan.set(s.dim, plan.mask01(plan.agg(opposite(s.edges[0][1]), s.dim), mk))
     plan.set("U", plan.mask01(plan.agg("out", "U"), mk))
     plan.set("R2", plan.mask01(plan.glob("R2"), mk))
-    plan.done()
     return _focus_verdict(sc, ss, 2 * K)
 
 
@@ -325,16 +312,12 @@ def build_local_mixed(phi: PmlFormula, extra: Aggregator, klass: str) -> Mpnn:
         # Push on the extra aggregator: the focus is the only nonzero
         # source, so sum and max both deliver its value undivided.
         plan = sc.layer(extra)
-        plan.carry("U")
         for s in ss:
             if len(s.edges) >= t:
                 child, d = s.edges[t - 1]
                 pushed = plan.agg(opposite(d), s.dim)
                 plan.set(s.recv, plan.mask01(pushed, plan.prev(sc.names[child])))
-            else:
-                plan.carry(s.dim)
         plan.hop("R2", r2.pay(), partial(plan.mask01, flag=plan.prev("mk")))
-        plan.done()
 
         # Pull on mean: one focus-degree division per live stream.
         plan = sc.layer()
@@ -342,12 +325,9 @@ def build_local_mixed(phi: PmlFormula, extra: Aggregator, klass: str) -> Mpnn:
         for s in ss:
             if len(s.edges) >= t:
                 plan.set(s.dim, plan.mask01(plan.agg(s.edges[t - 1][1], s.recv), mk))
-            else:
-                plan.carry(s.dim)
         focus = partial(plan.mask01, flag=mk)
         plan.hop("U", unit.pay(), focus)
         plan.hop("R2", r2.pay(), focus)
-        plan.done()
 
     _alignment_zone(sc, 2 * K - 1, need, unit, r2)
     return _focus_verdict(sc, ss, 2 * K)
@@ -410,44 +390,30 @@ def build_shallow_mixed(
     unit = Ledger(K, K, K)
     r2 = Ledger(glob=3 * K)
 
-    plan, memo = sc.first()
+    plan, truth = sc.first()
     mark = plan.prev(sc.mark_bit)
     for s in ss:
-        plan.set(s.dim, memo[s.tops[0]] if s.tops else mark)
+        plan.set(s.dim, truth(s.tops[0]) if s.tops else mark)
     plan.set("U", mark)
     plan.set("R2", mark)
-    plan.done()
-
-    def phase_layer(push: bool = False) -> LayerPlan:
-        """A phase layer: the standing dims, then ``U`` and ``R2`` carried;
-        a push layer's in and out ports use the extra aggregator."""
-        plan = sc.layer(extra if push else None)
-        plan.carry("U", "R2")
-        return plan
 
     # Global phase: gated mean cascade, then one collect onto the focus.
     for t in range(2, c_max + 1):
-        plan = phase_layer()
+        plan = sc.layer()
         for s in ss:
             if len(s.tops) >= t:
                 gate = plan.prev(sc.names[s.tops[t - 1]])
                 plan.set(s.dim, plan.mask01(plan.glob(s.dim), gate))
-            else:
-                plan.carry(s.dim)
-        plan.done()
     if c_max >= 1:
-        plan = phase_layer()
+        plan = sc.layer()
         mk = plan.prev("mk")
         for s in ss:
             if s.tops:
                 plan.set(s.dim, plan.mask01(plan.glob(s.dim), mk))
-            else:
-                plan.carry(s.dim)
-        plan.done()
 
     # Identity phase: one AND gate at the focus, one re-localizing mean.
     for t in range(1, i_max + 1):
-        plan = phase_layer()
+        plan = sc.layer()
         mk = plan.prev("mk")
         for s in ss:
             if len(s.ids) >= t:
@@ -462,39 +428,27 @@ def build_shallow_mixed(
                         bias=-2,
                     ),
                 )
-            else:
-                plan.carry(s.dim)
-        plan.done()
-        plan = phase_layer()
+        plan = sc.layer()
         mk = plan.prev("mk")
         for s in ss:
             if len(s.ids) >= t:
                 plan.set(s.dim, plan.mask01(plan.glob(s.dim), mk))
-            else:
-                plan.carry(s.dim)
-        plan.done()
 
     # Edge phase: push to the counted neighbourhood, gate by the child
     # flag there, pull back into the focus.
     for t in range(1, e_max + 1):
-        plan = phase_layer(push=True)
+        plan = sc.layer(extra)
         for s in ss:
             if len(s.edges) >= t:
                 child, direction = s.edges[t - 1]
                 pushed = plan.agg(opposite(direction), s.dim)
                 plan.set(s.recv, plan.mask01(pushed, plan.prev(sc.names[child])))
-            else:
-                plan.carry(s.dim)
-        plan.done()
 
-        plan = phase_layer()
+        plan = sc.layer()
         mk = plan.prev("mk")
         for s in ss:
             if len(s.edges) >= t:
                 plan.set(s.dim, plan.mask01(plan.agg(s.edges[t - 1][1], s.recv), mk))
-            else:
-                plan.carry(s.dim)
-        plan.done()
 
     _alignment_zone(sc, 3 * K, need, unit, r2)
     return _focus_verdict(sc, ss, 3 * K)

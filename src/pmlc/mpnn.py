@@ -469,24 +469,27 @@ def parse_mpnn(text: str) -> Mpnn:
         raise MpnnFormatError(
             f"certainty exponent {exponent} exceeds the layer count {layer_count}"
         )
-    # One table per parse: a repeated neuron line, term or rational is
-    # parsed once, and the network holds one object for all its copies.
-    shared: dict[str, object] = {}
+    # One table per parse and per kind (a weight ``1/1`` is not the term
+    # ``1/1``): a repeated neuron line, term or rational is parsed once,
+    # and the network holds one object for all its copies.
+    rationals: dict[str, Rational] = {}
+    terms: dict[str, tuple[int, Rational]] = {}
+    lines: dict[str, tuple] = {}
 
-    def share(text: str, make):
-        value = shared.get(text)
+    def share(table: dict, text: str, make):
+        value = table.get(text)
         if value is None:
-            value = shared[text] = make(text)
+            value = table[text] = make(text)
         return value
 
     def term(text: str) -> tuple[int, Rational]:
         idx_text, _, num_text = text.partition(":")
-        return int(idx_text), share(num_text, parse_rational)
+        return int(idx_text), share(rationals, num_text, parse_rational)
 
     def neuron(line: str):
         parts = line.split()
-        return share(parts[1], parse_rational), tuple(
-            share(w, term) for w in parts[2:]
+        return share(rationals, parts[1], parse_rational), tuple(
+            share(terms, w, term) for w in parts[2:]
         )
 
     layers = []
@@ -515,7 +518,7 @@ def parse_mpnn(text: str) -> Mpnn:
                 if neuron_count < 0:
                     raise MpnnFormatError(f"negative neuron count {neuron_count}")
                 neurons = tuple(
-                    share(r.next("neuron"), neuron)
+                    share(lines, r.next("neuron"), neuron)
                     for _ in range(neuron_count)
                 )
                 fls.append(FnnLayer(input_dim, neurons))

@@ -19,8 +19,9 @@ The building blocks:
   padding depth mismatches with identity ReLUs (sound because every
   routed value is nonnegative).  The Fnn's last layer is the output
   neurons themselves, in declaration order; no layer follows only to
-  re-emit them.  It carries the one gadget set the
-  compilers use: ``min_``, ``mask01``, ``flag_at``, ``not_at``,
+  re-emit them, and it holds only neurons that feed an output (the same
+  ``backward_live`` walk that ``lower`` runs).  It carries the one gadget
+  set the compilers use: ``min_``, ``mask01``, ``flag_at``, ``not_at``,
   ``and_at`` and ``sum_of``.  Every scale a gadget works at is a ref.
 """
 
@@ -31,7 +32,7 @@ from itertools import repeat
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 Rational = Fraction
 RationalLike = Union[int, Rational]
@@ -166,6 +167,24 @@ class Program:
         return [regs[r] for r in self.outputs]
 
 
+def backward_live(stages, need, reads) -> tuple[list[list[int]], set[int]]:
+    """Backward liveness over a stack of neuron stages, last stage first.
+
+    ``need`` lists the indices of the last stage's neurons that are used,
+    and ``reads(neuron)`` the indices a neuron reads in the stage before
+    it (the inputs, for the first stage).  Returns, per stage, the sorted
+    indices of the neurons that feed a needed one, and the set of inputs
+    those read.
+    """
+    live: list[list[int]] = []
+    need = set(need)
+    for stage in reversed(stages):
+        live.append(sorted(need))
+        need = {i for j in need for i in reads(stage[j])}
+    live.reverse()
+    return live, need
+
+
 def lower(n: Fnn) -> Program:
     """Lower ``n`` to a Program (see there).
 
@@ -177,12 +196,11 @@ def lower(n: Fnn) -> Program:
     the same bias and the same merged terms over the same registers share
     one row.
     """
-    live: list[list[int]] = []
-    need = set(range(n.output_dim))
-    for layer in reversed(n.layers):
-        live.append(sorted(need))
-        need = {i for j in need for i, w in layer.neurons[j][1] if w}
-    live.reverse()
+    live, need = backward_live(
+        [layer.neurons for layer in n.layers],
+        range(n.output_dim),
+        lambda neuron: [i for i, w in neuron[1] if w],
+    )
     reads = tuple(sorted(need))
     reg = {i: r for r, i in enumerate(reads)}
     rows = []
@@ -244,8 +262,7 @@ def _exact(w: RationalLike) -> Rational:
     return _int_rational(w) if type(w) is int else rat(w)
 
 
-@dataclass(frozen=True)
-class Ref:
+class Ref(NamedTuple):
     """Handle to a value inside a circuit: an input port or a neuron."""
 
     kind: str  # "in" | "neuron"
@@ -259,12 +276,13 @@ class Circuit:
     Values flow only forward; a term read from an earlier depth is carried
     through memoized identity ReLUs.  That identity trick — and therefore
     the whole builder — is only sound for nonnegative values, which all
-    compiled constructions maintain by design.
+    compiled constructions maintain by design.  Input ports are numbered
+    in order of first use and placed only when the Fnn is built.
     """
 
     def __init__(self, inputs: Mapping[str, int], width: Optional[int] = None):
         self._inputs = dict(inputs)
-        self._ports: dict[str, Ref] = {}  # each input port's Ref, built on first use
+        self._ports: dict = {}  # each input port's Ref, built on first use
         used = max(self._inputs.values(), default=-1) + 1
         self._width = used if width is None else width
         if self._width < used:
@@ -272,12 +290,12 @@ class Circuit:
         # neurons[d] = list of (bias, [(ref, weight), ...]) at depth d+1
         self._neurons: list[list[tuple[Rational, list[tuple[Ref, Rational]]]]] = []
         self._identity: dict[Ref, Ref] = {}
-        self._outputs: list[tuple[str, Ref]] = []
+        self._outputs: dict[str, Ref] = {}
 
-    def input(self, name: str) -> Ref:
+    def input(self, name) -> Ref:
         ref = self._ports.get(name)
         if ref is None:
-            ref = self._ports[name] = Ref("in", self._inputs[name], 0)
+            ref = self._ports[name] = Ref("in", len(self._ports), 0)
         return ref
 
     def _alloc(
@@ -291,9 +309,8 @@ class Circuit:
     def _lift(self, ref: Ref, depth: int) -> Ref:
         while ref.depth < depth:
             nxt = self._identity.get(ref)
-            if nxt is None or nxt.depth > ref.depth + 1:
-                nxt = self._alloc(ref.depth + 1, ZERO, [(ref, ONE)])
-                self._identity[ref] = nxt
+            if nxt is None:
+                nxt = self._identity[ref] = self._alloc(ref.depth + 1, ZERO, [(ref, ONE)])
             ref = nxt
         return ref
 
@@ -302,9 +319,15 @@ class Circuit:
         terms: Iterable[tuple[RationalLike, Ref]],
         bias: RationalLike = 0,
     ) -> Ref:
-        terms = [(_exact(w), r) for w, r in terms]
-        depth = 1 + max((r.depth for _w, r in terms), default=0)
-        lifted = [(self._lift(r, depth - 1), w) for w, r in terms]
+        """The neuron ``relu(bias + sum w*x)``.  Terms on one ref are added
+        and zero weights dropped, so a neuron reads only what it uses."""
+        weights: dict[Ref, Rational] = {}
+        for w, r in terms:
+            w = _exact(w)
+            weights[r] = weights[r] + w if r in weights else w
+        used = [(r, w) for r, w in weights.items() if w]
+        depth = 1 + max((r.depth for r, _w in used), default=0)
+        lifted = [(self._lift(r, depth - 1), w) for r, w in used]
         return self._alloc(depth, _exact(bias), lifted)
 
     # -- gadgets ------------------------------------------------------
@@ -337,41 +360,50 @@ class Circuit:
         return self.relu([(1, r) for r in refs])
 
     def output(self, name: str, ref: Ref) -> None:
-        self._outputs.append((name, ref))
+        self._outputs[name] = ref
 
     def output_names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ref in self._outputs)
+        return tuple(self._outputs)
 
-    def build(self) -> Fnn:
-        """The Fnn whose outputs are the declared outputs, in order.
+    def build(self, names: Optional[Sequence[str]] = None, ports=None) -> Fnn:
+        """The Fnn computing the outputs ``names`` (by default every
+        declared output), in order, from only the neurons that feed them.
 
         Its depth is the deepest output's; shallower outputs are carried
         there through identity ReLUs.  The last layer holds the output
-        refs' own neurons in declaration order, and a neuron declared
-        under two names appears twice.
+        refs' own neurons, and a neuron named twice appears twice.
+        ``ports`` takes the set of input ports the kept neurons read and
+        returns each one's index and the input width; by default the ports
+        have the indices and the width given at construction.
         """
-        if not self._outputs:
+        outs = [self._outputs[nm] for nm in (self._outputs if names is None else names)]
+        if not outs:
             raise ValueError("circuit has no outputs")
-        depth = max(max((r.depth for _n, r in self._outputs), default=0), 1)
-        finals = [self._lift(r, depth) for _name, r in self._outputs]
-        stages = self._neurons[: depth - 1]
-        stages.append([self._neurons[depth - 1][r.index] for r in finals])
+        depth = max(max(r.depth for r in outs), 1)
+        finals = [self._lift(r, depth) for r in outs]
+        live, read = backward_live(
+            self._neurons[:depth],
+            [r.index for r in finals],
+            lambda neuron: [r.index for r, _w in neuron[1]],
+        )
+        names_of = list(self._ports)
+        read_names = {names_of[i] for i in read}
+        index, width = (self._inputs, self._width) if ports is None else ports(read_names)
+        place = {i: index[names_of[i]] for i in read}
         layers = []
-        in_dim = self._width
-        for d, stage in enumerate(stages):
-            layers.append(FnnLayer(in_dim, tuple(map(_merged, stage))))
-            in_dim = len(self._neurons[d])
+        for d, alive in enumerate(live):
+            stage = self._neurons[d]
+            kept = [stage[r.index] for r in finals] if d == depth - 1 else [stage[j] for j in alive]
+            layers.append(FnnLayer(width, tuple(_placed(nr, place) for nr in kept)))
+            width = len(alive)
+            place = {j: k for k, j in enumerate(alive)}
         return Fnn(tuple(layers))
 
 
-def _merged(
-    neuron: tuple[Rational, list[tuple[Ref, Rational]]]
+def _placed(
+    neuron: tuple[Rational, list[tuple[Ref, Rational]]], place: Mapping[int, int]
 ) -> tuple[Rational, tuple[tuple[int, Rational], ...]]:
-    """A circuit neuron as an FnnLayer neuron: one weight per input index,
-    in index order; only a repeated index costs an addition."""
+    """A circuit neuron as an FnnLayer neuron, each term at the index
+    ``place`` gives its ref, in index order."""
     bias, terms = neuron
-    weights: dict[int, Rational] = {}
-    for ref, w in terms:
-        i = ref.index
-        weights[i] = weights[i] + w if i in weights else w
-    return bias, tuple(sorted(weights.items()))
+    return bias, tuple(sorted([(place[r.index], w) for r, w in terms]))

@@ -116,12 +116,9 @@ def test_check_needs_a_focus(tmp_path, capsys):
     assert main(["check", f, nofocus]) == 2
 
 
-def test_check_rejects_a_huge_node_count_before_allocating(tmp_path):
-    # Two lines claim 10^8 nodes.  Under a 400 MB address-space limit on
-    # the child alone, the check must end in a typed error (exit 2), not a
-    # MemoryError traceback.
-    f = write(tmp_path, "f.pml", "p0")
-    huge = write(tmp_path, "huge.graph", "graph 100000000 1\nfocus 0\n")
+def _run_capped(args):
+    """``main(args)`` in a child process under a 400 MB address-space limit
+    (on the child alone)."""
     limit = 400 * 2**20
 
     def cap_memory():
@@ -129,11 +126,19 @@ def test_check_rejects_a_huge_node_count_before_allocating(tmp_path):
 
     src = str(Path(pmlc.__file__).resolve().parents[1])
     code = f"import sys; sys.path.insert(0, {src!r}); from pmlc.cli import main; " \
-        f"sys.exit(main(['check', {f!r}, {huge!r}]))"
-    out = subprocess.run(
+        f"sys.exit(main({args!r}))"
+    return subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True,
         timeout=60, preexec_fn=cap_memory,
     )
+
+
+def test_check_rejects_a_huge_node_count_before_allocating(tmp_path):
+    # Two lines claim 10^8 nodes.  Under the memory cap the check must end
+    # in a typed error (exit 2), not a MemoryError traceback.
+    f = write(tmp_path, "f.pml", "p0")
+    huge = write(tmp_path, "huge.graph", "graph 100000000 1\nfocus 0\n")
+    out = _run_capped(["check", f, huge])
     assert out.returncode == 2, out.stderr
     assert "error:" in out.stderr and "Traceback" not in out.stderr
 
@@ -162,6 +167,16 @@ def test_compile_report_defaults_to_stdout(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "target global-shallow"
     assert "layers 1" in out
+
+
+def test_compile_allocates_nothing_per_unread_colour(tmp_path):
+    # p1000000 has a million colours, and its network reads one of them:
+    # under the memory cap it compiles to a small file.
+    f = write(tmp_path, "f.pml", "p1000000")
+    net = str(tmp_path / "net.mpnn")
+    out = _run_capped(["compile", f, "--target", "global-shallow", "--out", net])
+    assert out.returncode == 0, out.stderr
+    assert len(open(net).read()) < 1000
 
 
 def test_compile_fragment_mismatch_exits_3(tmp_path, capsys):

@@ -164,6 +164,19 @@ def test_modal_free_formula_compiles_to_one_boolean_layer(name):
     assert judge(net, member).accepted
 
 
+def test_boolean_nesting_compiles_to_linear_size():
+    # Only the flags a later layer reads survive the first layer, so n
+    # nested negations cost O(n) comb neurons, not a carried flag per depth.
+    n = 200
+
+    def neurons(text, name):
+        net, _report = compile(parse_formula(text), name)
+        return sum(len(fl.neurons) for layer in net.layers for fl in layer.comb.layers)
+
+    assert neurons("!" * n + "p0", "global-shallow") <= 2 * n
+    assert neurons("<in>{x1 >= 1}(" + "!" * n + "p0)", "local-mixed-sum") <= 6 * n
+
+
 def test_nested_needs_depth_critical_children():
     lopsided = parse_formula(
         "<out,out>{x1 + x2 >= 1}"

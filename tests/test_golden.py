@@ -110,12 +110,33 @@ def test_bank_networks_match_golden_digests(target):
     )
 
 
-def test_every_golden_pair_keeps_its_certainty_exponent_within_its_layers():
+def _pairs() -> list:
+    """Every bank and ``EXTRA`` pair as (target name, formula)."""
     pairs = [(t.name, phi) for t in ALL_TARGETS for phi in bank(t.name)]
-    pairs += [(name, parse_formula(text)) for name, text in EXTRA]
-    for name, phi in pairs:
+    return pairs + [(name, parse_formula(text)) for name, text in EXTRA]
+
+
+def test_every_golden_pair_keeps_its_certainty_exponent_within_its_layers():
+    for name, phi in _pairs():
         net, _report = compile(phi, name)
         assert net.certainty.exponent <= len(net.layers), (name, print_formula(phi))
+
+
+def test_every_golden_pair_emits_only_what_is_read():
+    # The last layer emits ``out`` alone, every other layer only dims the
+    # next layer's program reads, and every comb neuron feeds an output.
+    for name, phi in _pairs():
+        net, _report = compile(phi, name)
+        where = (name, print_formula(phi))
+        assert net.dimension_names[-1] == ("out",) and net.output_dim == 1, where
+        for layer, nxt in zip(net.layers, net.layers[1:]):
+            read = {i % nxt.in_dim for i in nxt.comb.program.reads}
+            assert read == set(range(layer.out_dim)), where
+        for layer in net.layers:
+            need = set(range(layer.out_dim))
+            for fl in reversed(layer.comb.layers):
+                assert need == set(range(fl.output_dim)), where
+                need = {i for j in need for i, w in fl.neurons[j][1] if w}
 
 
 def test_extra_networks_match_golden_digests():

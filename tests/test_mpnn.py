@@ -554,6 +554,15 @@ def test_parse_rejects_a_negative_neuron_count():
         parse_mpnn(bad)
 
 
+def test_parse_rejects_a_term_spelled_as_an_earlier_rational():
+    # ``1/1`` was parsed as a weight first, so as a term it must still be
+    # an error, not the shared weight.
+    text = print_mpnn(_global_mean_net())
+    line = next(x for x in text.splitlines() if x.startswith("neuron"))
+    with pytest.raises(MpnnFormatError):
+        parse_mpnn(text.replace(line, line + " 1/1", 1))
+
+
 def test_parse_rejects_a_non_integer_mark_colour():
     text = print_mpnn(_global_mean_net())
     with pytest.raises(MpnnFormatError, match="bad mark colour"):
