@@ -90,8 +90,10 @@ class LayerPlan(Circuit):
     # -- ports --------------------------------------------------------
 
     def _port(self, block: int, name: str) -> Ref:
-        self._b.route(name, self.k - 1)
-        return self.input((block, name))
+        key = (block, name)
+        if key not in self._ports:
+            self._b.route(name, self.k - 1)
+        return self.input(key)
 
     def prev(self, name: str) -> Ref:
         return self._port(0, name)
