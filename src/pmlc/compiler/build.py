@@ -265,9 +265,9 @@ class Scaffold(NetBuilder):
 
     The colours are the label bits of ``source`` (``phi`` itself unless
     ``phi`` is its flattened form) plus, unless the class is ``any``, one
-    colour ``mark`` (label bit ``mark_bit``) for the focus mark.
-    ``modals`` lists ``phi``'s modal nodes and ``names`` names the flag of
-    each modal-free subformula, both in canonical order.  ``first`` writes the
+    colour ``mark`` (label bit ``mark_bit``) for the focus mark.  ``flats``
+    and ``modals`` list ``phi``'s modal-free subformulas and modal nodes in
+    canonical order, and ``names`` names each flag.  ``first`` writes the
     flags and the mark dim ``mk``; ``finish`` builds the ``n^(-e)``
     contract.
     """
@@ -284,18 +284,18 @@ class Scaffold(NetBuilder):
         self.klass = klass
         self.text = print_formula(source)
         subs = subformulas_ordered(phi)
-        flats = [s for s in subs if modal_depth(s) == 0]
+        self.flats = [s for s in subs if modal_depth(s) == 0]
         self.modals = [s for s in subs if isinstance(s, Modal)]
-        self.names = {s: f"f{i}" for i, s in enumerate(flats)}
+        self.names = {s: f"f{i}" for i, s in enumerate(self.flats)}
 
-    def first(self) -> Tuple[LayerPlan, Callable[[PmlFormula], Ref]]:
+    def first(self) -> Tuple[LayerPlan, Dict[PmlFormula, Ref]]:
         """The first layer, holding every flag and (on marked classes)
-        ``mk``; also the truth of each modal-free formula there."""
+        ``mk``; also the truth refs ``write_flags`` made."""
         plan = self.layer()
-        truth = write_flags(plan, self.names)
+        memo = write_flags(plan, self.flats, self.names)
         if self.mark is not None:
             plan.set("mk", plan.prev(self.mark_bit))
-        return plan, truth
+        return plan, memo
 
     def check(self, plan: LayerPlan, modal: Callable[[Modal], Ref], scale: Ref) -> None:
         """Write ``out``: ``phi``'s skeleton at ``scale`` over the modal
@@ -340,30 +340,27 @@ def opposite(direction: str) -> str:
 
 
 def write_flags(
-    plan: LayerPlan, names: Dict[PmlFormula, str]
-) -> Callable[[PmlFormula], Ref]:
+    plan: LayerPlan, flats: Sequence[PmlFormula], names: Dict[PmlFormula, str]
+) -> Dict[PmlFormula, Ref]:
     """First-layer 0/1 truth flags, read from the label bits ``c<i>``.
 
-    Writes one dimension per formula of ``names``, under its name, and
-    returns the memoized truth ref of any modal-free formula.
+    Evaluates the formulas of ``flats``, which lists every operand before
+    its parent, writes a dimension for each one ``names`` names, and
+    returns the truth ref of each.
     """
     memo: Dict[PmlFormula, Ref] = {}
-
-    def truth(f: PmlFormula) -> Ref:
-        if f not in memo:
-            if isinstance(f, Prop):
-                memo[f] = plan.relu([(1, plan.prev(f"c{f.index}"))])
-            elif isinstance(f, Not):
-                memo[f] = plan.relu([(-1, truth(f.operand))], 1)
-            elif isinstance(f, And):
-                memo[f] = plan.relu([(1, truth(f.left)), (1, truth(f.right))], -1)
-            else:
-                raise ValueError("the Boolean layer only evaluates modal-free formulas")
-        return memo[f]
-
-    for s, name in names.items():
-        plan.set(name, truth(s))
-    return truth
+    for f in flats:
+        if isinstance(f, Prop):
+            memo[f] = plan.relu([(1, plan.prev(f"c{f.index}"))])
+        elif isinstance(f, Not):
+            memo[f] = plan.relu([(-1, memo[f.operand])], 1)
+        elif isinstance(f, And):
+            memo[f] = plan.relu([(1, memo[f.left]), (1, memo[f.right])], -1)
+        else:
+            raise ValueError("the Boolean layer only evaluates modal-free formulas")
+        if f in names:
+            plan.set(names[f], memo[f])
+    return memo
 
 
 class Ledger:
@@ -464,5 +461,5 @@ def degenerate_boolean(phi: PmlFormula, marked: bool) -> Mpnn:
     ``any``."""
     sc = Scaffold(phi, "marked" if marked else "any")
     plan = sc.layer()
-    plan.set("out", write_flags(plan, {})(phi))
+    plan.set("out", write_flags(plan, sc.flats, {})[phi])
     return sc.finish(0)

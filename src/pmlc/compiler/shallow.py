@@ -88,9 +88,9 @@ def build_global_homogeneous(phi: PmlFormula, klass: str) -> Mpnn:
     # The atom's monomials have distinct variable multisets, so stream h
     # is monomial h.
     ss = streams(sc.modals, "z")
-    plan, truth = sc.first()
+    plan, memo = sc.first()
     for s in ss:
-        plan.set(s.dim, truth(s.tops[0]))
+        plan.set(s.dim, memo[s.tops[0]])
 
     for t in range(2, k + 1):
         plan = sc.layer()
@@ -132,10 +132,10 @@ def _global_net(sc: Scaffold) -> Mpnn:
     """
     K = degree(sc.phi)
     ss = streams(sc.modals, "z")
-    plan, truth = sc.first()
+    plan, memo = sc.first()
     if K >= 1:
         for s in ss:
-            plan.set(s.dim, truth(s.tops[0]))
+            plan.set(s.dim, memo[s.tops[0]])
         plan.set("U", plan.prev(sc.mark_bit))
 
     for t in range(2, K + 1):
@@ -390,10 +390,10 @@ def build_shallow_mixed(
     unit = Ledger(K, K, K)
     r2 = Ledger(glob=3 * K)
 
-    plan, truth = sc.first()
+    plan, memo = sc.first()
     mark = plan.prev(sc.mark_bit)
     for s in ss:
-        plan.set(s.dim, truth(s.tops[0]) if s.tops else mark)
+        plan.set(s.dim, memo[s.tops[0]] if s.tops else mark)
     plan.set("U", mark)
     plan.set("R2", mark)
 

@@ -167,20 +167,20 @@ class Program:
         return [regs[r] for r in self.outputs]
 
 
-def backward_live(stages, need, reads) -> tuple[list[list[int]], set[int]]:
+def backward_live(stages, need) -> tuple[list[list[int]], set[int]]:
     """Backward liveness over a stack of neuron stages, last stage first.
 
-    ``need`` lists the indices of the last stage's neurons that are used,
-    and ``reads(neuron)`` the indices a neuron reads in the stage before
-    it (the inputs, for the first stage).  Returns, per stage, the sorted
-    indices of the neurons that feed a needed one, and the set of inputs
-    those read.
+    A stage lists neurons ``(bias, ((index, weight), ...))`` over the
+    stage before it (the inputs, for the first stage), and ``need`` the
+    indices of the last stage's neurons that are used.  Returns, per
+    stage, the sorted indices of the neurons that feed a needed one
+    through a nonzero weight, and the set of inputs those read.
     """
     live: list[list[int]] = []
     need = set(need)
     for stage in reversed(stages):
         live.append(sorted(need))
-        need = {i for j in need for i in reads(stage[j])}
+        need = {i for j in need for i, w in stage[j][1] if w}
     live.reverse()
     return live, need
 
@@ -196,11 +196,7 @@ def lower(n: Fnn) -> Program:
     the same bias and the same merged terms over the same registers share
     one row.
     """
-    live, need = backward_live(
-        [layer.neurons for layer in n.layers],
-        range(n.output_dim),
-        lambda neuron: [i for i, w in neuron[1] if w],
-    )
+    live, need = backward_live([layer.neurons for layer in n.layers], range(n.output_dim))
     reads = tuple(sorted(need))
     reg = {i: r for r, i in enumerate(reads)}
     rows = []
@@ -287,8 +283,9 @@ class Circuit:
         self._width = used if width is None else width
         if self._width < used:
             raise ValueError("declared width smaller than the largest port index")
-        # neurons[d] = list of (bias, [(ref, weight), ...]) at depth d+1
-        self._neurons: list[list[tuple[Rational, list[tuple[Ref, Rational]]]]] = []
+        # neurons[d] = list of (bias, [(index, weight), ...]) at depth d+1,
+        # each index that of a ref at depth d
+        self._neurons: list[list[tuple[Rational, list[tuple[int, Rational]]]]] = []
         self._identity: dict[Ref, Ref] = {}
         self._outputs: dict[str, Ref] = {}
 
@@ -299,7 +296,7 @@ class Circuit:
         return ref
 
     def _alloc(
-        self, depth: int, bias: Rational, terms: list[tuple[Ref, Rational]]
+        self, depth: int, bias: Rational, terms: list[tuple[int, Rational]]
     ) -> Ref:
         while len(self._neurons) < depth:
             self._neurons.append([])
@@ -310,7 +307,9 @@ class Circuit:
         while ref.depth < depth:
             nxt = self._identity.get(ref)
             if nxt is None:
-                nxt = self._identity[ref] = self._alloc(ref.depth + 1, ZERO, [(ref, ONE)])
+                nxt = self._identity[ref] = self._alloc(
+                    ref.depth + 1, ZERO, [(ref.index, ONE)]
+                )
             ref = nxt
         return ref
 
@@ -327,7 +326,7 @@ class Circuit:
             weights[r] = weights[r] + w if r in weights else w
         used = [(r, w) for r, w in weights.items() if w]
         depth = 1 + max((r.depth for r, _w in used), default=0)
-        lifted = [(self._lift(r, depth - 1), w) for r, w in used]
+        lifted = [(self._lift(r, depth - 1).index, w) for r, w in used]
         return self._alloc(depth, _exact(bias), lifted)
 
     # -- gadgets ------------------------------------------------------
@@ -381,11 +380,7 @@ class Circuit:
             raise ValueError("circuit has no outputs")
         depth = max(max(r.depth for r in outs), 1)
         finals = [self._lift(r, depth) for r in outs]
-        live, read = backward_live(
-            self._neurons[:depth],
-            [r.index for r in finals],
-            lambda neuron: [r.index for r, _w in neuron[1]],
-        )
+        live, read = backward_live(self._neurons[:depth], [r.index for r in finals])
         names_of = list(self._ports)
         read_names = {names_of[i] for i in read}
         index, width = (self._inputs, self._width) if ports is None else ports(read_names)
@@ -394,16 +389,10 @@ class Circuit:
         for d, alive in enumerate(live):
             stage = self._neurons[d]
             kept = [stage[r.index] for r in finals] if d == depth - 1 else [stage[j] for j in alive]
-            layers.append(FnnLayer(width, tuple(_placed(nr, place) for nr in kept)))
+            layers.append(FnnLayer(width, tuple(
+                (bias, tuple(sorted([(place[i], w) for i, w in terms])))
+                for bias, terms in kept
+            )))
             width = len(alive)
             place = {j: k for k, j in enumerate(alive)}
         return Fnn(tuple(layers))
-
-
-def _placed(
-    neuron: tuple[Rational, list[tuple[Ref, Rational]]], place: Mapping[int, int]
-) -> tuple[Rational, tuple[tuple[int, Rational], ...]]:
-    """A circuit neuron as an FnnLayer neuron, each term at the index
-    ``place`` gives its ref, in index order."""
-    bias, terms = neuron
-    return bias, tuple(sorted([(place[r.index], w) for r, w in terms]))

@@ -8,6 +8,7 @@ aggregates.
 """
 
 from pmlc.compiler.build import NetBuilder, write_flags
+from pmlc.logic import subformulas_ordered
 
 
 def layer_inputs(state):
@@ -26,7 +27,8 @@ def boolean_layer(formulas, colours):
     truth flag per (distinct) modal-free formula, in the given order."""
     builder = NetBuilder(colours)
     names = {f: f"f{i}" for i, f in enumerate(formulas)}
-    write_flags(builder.layer(), names)
+    flats = dict.fromkeys(s for f in formulas for s in subformulas_ordered(f))
+    write_flags(builder.layer(), flats, names)
     return _first_comb(builder, names.values())
 
 

@@ -20,7 +20,7 @@ from pmlc.compiler import (
     format_report,
     parse_target,
 )
-from pmlc.compiler.build import Ledger
+from pmlc.compiler.build import Ledger, NetBuilder
 from pmlc.graphs import (
     Graph,
     PointedGraph,
@@ -28,8 +28,16 @@ from pmlc.graphs import (
     is_regular,
     is_strongly_marked,
 )
-from pmlc.logic import Modality, degree, modal_depth, parse_formula
-from pmlc.mpnn import Aggregator, ClassViolation, judge, mpnn_eval, print_mpnn
+from pmlc.logic import Modality, Not, Prop, degree, modal_depth, parse_formula
+from pmlc.mpnn import (
+    Aggregator,
+    CertaintyDescriptor,
+    ClassViolation,
+    Mpnn,
+    judge,
+    mpnn_eval,
+    print_mpnn,
+)
 from pmlc.net import ZERO, rat
 from pmlc.oracle import all_pointed_graphs, models
 
@@ -164,6 +172,28 @@ def test_modal_free_formula_compiles_to_one_boolean_layer(name):
     assert judge(net, member).accepted
 
 
+def test_net_builder_routes_each_read_from_the_latest_write():
+    b = NetBuilder(2)
+    first = b.layer()
+    first.set("x", first.relu([(1, first.prev("c0"))]))
+    first.set("dead", first.prev("c1"))
+    second = b.layer()
+    second.set("x", second.relu([(2, second.prev("x"))]))
+    third = b.layer()
+    third.set("y", third.relu([(1, third.prev("c1"))]))
+    last = b.layer()
+    last.set("out", last.relu([(1, last.prev("x")), (1, last.glob("y"))]))
+    with pytest.raises(KeyError):
+        last.prev("dead-nowhere")
+    layers, dims = b.assemble()
+    # The label bit c1 and x are carried on to their readers; ``dead`` is
+    # read by nothing and leaves no dim.
+    assert dims == (("x", "c1"), ("x", "c1"), ("y", "x"), ("out",))
+    net = Mpnn(2, layers, CertaintyDescriptor(0), False, "any", dimension_names=dims)
+    g = Graph(2, 2, frozenset(), ((1, 1), (1, 0)))
+    assert mpnn_eval(net, g) == [[rat(5, 2)], [rat(5, 2)]]
+
+
 def test_boolean_nesting_compiles_to_linear_size():
     # Only the flags a later layer reads survive the first layer, so n
     # nested negations cost O(n) comb neurons, not a carried flag per depth.
@@ -175,6 +205,13 @@ def test_boolean_nesting_compiles_to_linear_size():
 
     assert neurons("!" * n + "p0", "global-shallow") <= 2 * n
     assert neurons("<in>{x1 >= 1}(" + "!" * n + "p0)", "local-mixed-sum") <= 6 * n
+    # Past the parser's nesting bound and the recursion limit, built by
+    # constructors: the flags are evaluated operands first, not recursively.
+    deep = Prop(0)
+    for _ in range(5000):
+        deep = Not(deep)
+    net, _report = compile(deep, "global-shallow")
+    assert sum(len(fl.neurons) for fl in net.layers[0].comb.layers) <= 2 * 5000
 
 
 def test_nested_needs_depth_critical_children():
