@@ -215,7 +215,7 @@ def build_nested(
 
     # Layer 1: flags, mark, carrier; for M >= 2 the first reach dims and
     # uniform, for M = 1 a constant unit dim and the stage-1 seeds.
-    plan = sc.first()[0]
+    plan, _memo = sc.first()
     mkbit = plan.prev(sc.mark_bit)
     plan.set("C", plan.mask01(plan.glob(sc.mark_bit), mkbit))
     if M >= 2:

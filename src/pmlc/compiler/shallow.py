@@ -6,9 +6,9 @@ mark); a later layer that reads one of those dims, or any other, has it
 routed there from its latest write.  The middle layers accumulate each
 constraint monomial (one ``Stream``) as a product of counts divided by a
 known denominator, and the final layer runs the constraint checks and
-the root's Boolean skeleton at the accumulated scale.  The constructions differ only in
-which aggregations the middle layers may use and therefore in which graph
-class the result is sound on:
+the root's Boolean skeleton at the accumulated scale.  The constructions
+differ only in which aggregations the middle layers may use and
+therefore in which graph class the result is sound on:
 
 * ``build_global_homogeneous`` — iterated global mean over a single
   homogeneous constraint; sound on every pointed graph, inverted verdict.

@@ -196,7 +196,8 @@ def lower(n: Fnn) -> Program:
     the same bias and the same merged terms over the same registers share
     one row.
     """
-    live, need = backward_live([layer.neurons for layer in n.layers], range(n.output_dim))
+    stages = [layer.neurons for layer in n.layers]
+    live, need = backward_live(stages, range(n.output_dim))
     reads = tuple(sorted(need))
     reg = {i: r for r, i in enumerate(reads)}
     rows = []
@@ -382,17 +383,23 @@ class Circuit:
         finals = [self._lift(r, depth) for r in outs]
         live, read = backward_live(self._neurons[:depth], [r.index for r in finals])
         names_of = list(self._ports)
-        read_names = {names_of[i] for i in read}
-        index, width = (self._inputs, self._width) if ports is None else ports(read_names)
+        if ports is None:
+            index, width = self._inputs, self._width
+        else:
+            index, width = ports({names_of[i] for i in read})
         place = {i: index[names_of[i]] for i in read}
         layers = []
         for d, alive in enumerate(live):
             stage = self._neurons[d]
-            kept = [stage[r.index] for r in finals] if d == depth - 1 else [stage[j] for j in alive]
-            layers.append(FnnLayer(width, tuple(
+            if d == depth - 1:
+                kept = [stage[r.index] for r in finals]
+            else:
+                kept = [stage[j] for j in alive]
+            neurons = tuple(
                 (bias, tuple(sorted([(place[i], w) for i, w in terms])))
                 for bias, terms in kept
-            )))
+            )
+            layers.append(FnnLayer(width, neurons))
             width = len(alive)
             place = {j: k for k, j in enumerate(alive)}
         return Fnn(tuple(layers))

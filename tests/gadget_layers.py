@@ -43,8 +43,6 @@ def atom_check_layer(atom):
     builder = NetBuilder(h + 2)
     plan = builder.layer()
     dims = {m.variables: plan.prev(f"c{i}") for i, m in enumerate(atom.monomials)}
-    plan.set(
-        "out",
-        plan.atom_check(atom, dims.__getitem__, plan.prev(f"c{h}"), plan.prev(f"c{h + 1}")),
-    )
+    unit, r2 = plan.prev(f"c{h}"), plan.prev(f"c{h + 1}")
+    plan.set("out", plan.atom_check(atom, dims.__getitem__, unit, r2))
     return _first_comb(builder, ["out"])

@@ -112,4 +112,5 @@ def test_cli_exits_with_a_documented_code(command, data):
     if command != "parse":
         texts.append(data.draw(mutants(GRAPHS)))
     code, err = _run(command, texts)
-    assert code == 0 or (code in EXITS[command] and err.startswith("error:")), (code, err)
+    documented = code in EXITS[command] and err.startswith("error:")
+    assert code == 0 or documented, (code, err)
