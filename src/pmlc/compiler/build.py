@@ -1,7 +1,7 @@
 """Shared layer-assembly machinery for the formula compilers.
 
 Networks are assembled layer by layer over *named dimensions*.  Each layer
-is a combination Fnn reading the standard concatenated port layout
+is a combination Fnn reading the concatenated port layout
 [previous state, in-aggregate, out-aggregate, global aggregate].  Builders
 only write dims and read them; a value read several layers after its
 write is routed there by the ``NetBuilder``, through identity carries in
