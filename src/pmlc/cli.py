@@ -158,6 +158,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.seeds < 0:
+        raise ValueError(f"--seeds must be nonnegative, got {args.seeds}")
     phi = _read_formula(args.formula)
     if args.mpnn is not None:
         net = parse_mpnn(_read(args.mpnn))
@@ -199,6 +201,8 @@ def cmd_demo_inexpressibility(args: argparse.Namespace) -> int:
     """Two unlabelled-edge graphs with equal label fractions but different
     counts: every mean-only network computes identical focus states on
     them, while the counting formula separates them."""
+    if args.count < 0:
+        raise ValueError(f"--count must be nonnegative, got {args.count}")
     phi = parse_formula("<top>{x1 >= 2}(p0)")
     g1 = PointedGraph(Graph(2, 1, frozenset(), ((1,), (0,))), 0)
     g2 = PointedGraph(Graph(4, 1, frozenset(), ((1,), (1,), (0,), (0,))), 0)

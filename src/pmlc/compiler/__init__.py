@@ -221,9 +221,12 @@ def compile(
 
     Raises FragmentMismatch when the formula lies outside the target's
     fragment, TraceLimitExceeded when a nested compilation would need
-    more than ``trace_cap`` trace dimensions, and FlattenLimitExceeded
-    when a global-deep formula has too many nested modal subformulas.
+    more than ``trace_cap`` trace dimensions, FlattenLimitExceeded when a
+    global-deep formula has too many nested modal subformulas, and a plain
+    ValueError for a negative ``trace_cap``.
     """
+    if trace_cap < 0:
+        raise ValueError(f"the trace cap must be nonnegative, got {trace_cap}")
     if isinstance(target, str):
         target = parse_target(target)
     kind = target.kind

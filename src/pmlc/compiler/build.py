@@ -28,6 +28,8 @@ throughout:
 * ``atom_check`` turns accumulated monomial values (all scaled by a common
   unit ``u``) into a truth value at scale ``r2``; integrality of the
   underlying counts guarantees a violated atom overshoots ``r2``;
+* ``LayerPlan.boolean`` evaluates a constraint over its atom checks, or
+  a skeleton over its modal nodes and lifted flags, with those gadgets;
 * before the check every monomial pipeline and the unit must share one
   denominator: a ``Ledger`` counts the mean divisions a pipeline still
   owes, and ``LayerPlan.hop`` pays one of them or leaves the value.
@@ -42,14 +44,15 @@ from ..logic import (
     Modal,
     Modality,
     Not,
-    PeanoAnd,
     PeanoAtom,
     PeanoNot,
     PmlFormula,
     Prop,
     max_prop,
     modal_depth,
+    postorder,
     print_formula,
+    skeleton_operands,
     subformulas_ordered,
 )
 from ..mpnn import Aggregator, CertaintyDescriptor, Mpnn, MpnnLayer
@@ -79,6 +82,7 @@ class LayerPlan(Circuit):
     ``local``, and the global mean.  Reading a dim asks the builder to
     route it here from its latest write.  Which dims the layer outputs,
     and where each port sits, is settled by ``NetBuilder.assemble``.
+    Check layers add the gadgets ``atom_check`` and ``boolean``.
     """
 
     def __init__(self, builder: "NetBuilder", k: int, local: Aggregator):
@@ -165,40 +169,21 @@ class LayerPlan(Circuit):
         y = self.min_(x, r2)
         return self.relu([(1, r2), (-1, y)])
 
-    def peano_truth(self, psi, atom_ref: Callable[[PeanoAtom], Ref], scale: Ref) -> Ref:
-        """Evaluate a constraint over atom truth refs at a common scale."""
-        if isinstance(psi, PeanoAtom):
-            return atom_ref(psi)
-        if isinstance(psi, PeanoNot):
-            return self.not_at(scale, self.peano_truth(psi.operand, atom_ref, scale))
-        if isinstance(psi, PeanoAnd):
-            return self.and_at(
-                scale,
-                self.peano_truth(psi.left, atom_ref, scale),
-                self.peano_truth(psi.right, atom_ref, scale),
-            )
-        raise TypeError(f"not a constraint: {psi!r}")
-
-    def skeleton_truth(
-        self, phi: PmlFormula, leaf: Callable[[PmlFormula], Ref], scale: Ref
-    ) -> Ref:
-        """Evaluate a formula's Boolean skeleton at a scale.
-
-        ``leaf`` supplies truth refs (already at the scale) for modal
-        nodes and for maximal modal-free subformulas; only the Not/And
-        structure above them is evaluated here.
-        """
-        if isinstance(phi, Modal) or modal_depth(phi) == 0:
-            return leaf(phi)
-        if isinstance(phi, Not):
-            return self.not_at(scale, self.skeleton_truth(phi.operand, leaf, scale))
-        if isinstance(phi, And):
-            return self.and_at(
-                scale,
-                self.skeleton_truth(phi.left, leaf, scale),
-                self.skeleton_truth(phi.right, leaf, scale),
-            )
-        raise TypeError(f"not a formula: {phi!r}")
+    def boolean(self, root, leaf: Callable[[object], Ref], scale: Ref) -> Ref:
+        """The truth of a constraint or a formula's skeleton at ``scale``,
+        over ``leaf``'s truth refs (at the scale) for its leaves; see
+        ``skeleton_operands``.  One ``not_at`` or ``and_at`` per distinct
+        Not or And, and one ``leaf`` call per distinct leaf."""
+        truth: Dict[object, Ref] = {}
+        for s in postorder(root, skeleton_operands):
+            ops = [truth[c] for c in skeleton_operands(s)]
+            if not ops:
+                truth[s] = leaf(s)
+            elif isinstance(s, (Not, PeanoNot)):
+                truth[s] = self.not_at(scale, *ops)
+            else:
+                truth[s] = self.and_at(scale, *ops)
+        return truth[root]
 
 
 class NetBuilder:
@@ -300,7 +285,7 @@ class Scaffold(NetBuilder):
     def check(self, plan: LayerPlan, modal: Callable[[Modal], Ref], scale: Ref) -> None:
         """Write ``out``: ``phi``'s skeleton at ``scale`` over the modal
         truths ``modal`` and the lifted flags, masked to the focus."""
-        truth = plan.skeleton_truth(self.phi, self.leaf(plan, modal, scale), scale)
+        truth = plan.boolean(self.phi, self.leaf(plan, modal, scale), scale)
         plan.set("out", plan.mask01(truth, plan.prev("mk")))
 
     def leaf(
@@ -438,21 +423,15 @@ def streams(modals: Sequence[Modal], dim: str = "a", prefix: str = "") -> List[S
     table: List[Stream] = []
     seen: set = set()
     for j, chi in enumerate(modals):
-        for atom in _atoms(chi.constraint):
+        for atom in postorder(chi.constraint):
+            if not isinstance(atom, PeanoAtom):
+                continue
             for m in atom.monomials:
                 if (j, m.variables) not in seen:
                     seen.add((j, m.variables))
                     h = f"{prefix}{len(table)}"
                     table.append(Stream(f"{dim}{h}", f"r{h}", j, m.variables, chi))
     return table
-
-
-def _atoms(psi) -> List[PeanoAtom]:
-    if isinstance(psi, PeanoAtom):
-        return [psi]
-    if isinstance(psi, PeanoNot):
-        return _atoms(psi.operand)
-    return _atoms(psi.left) + _atoms(psi.right)
 
 
 def degenerate_boolean(phi: PmlFormula, marked: bool) -> Mpnn:

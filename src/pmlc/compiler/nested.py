@@ -45,12 +45,12 @@ from itertools import islice
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..logic import (
-    And,
     Modal,
-    Not,
     PmlFormula,
     degree,
     modal_depth,
+    postorder,
+    skeleton_operands,
     trace_index,
 )
 from ..mpnn import Aggregator, Mpnn
@@ -68,13 +68,7 @@ from .build import (
 
 def _modal_leaves(s: PmlFormula) -> List[Modal]:
     """Maximal modal subformulas of a Boolean skeleton, in reading order."""
-    if isinstance(s, Modal):
-        return [s]
-    if isinstance(s, Not):
-        return _modal_leaves(s.operand)
-    if isinstance(s, And):
-        return _modal_leaves(s.left) + _modal_leaves(s.right)
-    return []
+    return [c for c in postorder(s, skeleton_operands) if isinstance(c, Modal)]
 
 
 def _check_critical(phi: PmlFormula, M: int) -> None:
@@ -84,24 +78,23 @@ def _check_critical(phi: PmlFormula, M: int) -> None:
     M - o, so each stage of the pipeline sees each modal node once and
     trace lengths determine evaluation sites uniquely.
     """
-
-    def walk(s: PmlFormula, o: int) -> None:
-        if isinstance(s, Not):
-            walk(s.operand, o)
-        elif isinstance(s, And):
-            walk(s.left, o)
-            walk(s.right, o)
-        elif isinstance(s, Modal):
+    stack = [(phi, 0)]
+    seen = set()
+    while stack:
+        s, o = stack.pop()
+        if (s, o) in seen:
+            continue
+        seen.add((s, o))
+        if isinstance(s, Modal):
             if modal_depth(s) != M - o:
                 raise FragmentMismatch(
                     "nested compilation needs depth-critical nesting: a "
                     f"modal node under {o} enclosing modal positions must "
                     f"have modal depth {M - o}, found {modal_depth(s)}"
                 )
-            for child in s.children:
-                walk(child, o + 1)
-
-    walk(phi, 0)
+            stack.extend((c, o + 1) for c in reversed(s.children))
+        else:
+            stack.extend((c, o) for c in reversed(skeleton_operands(s)))
 
 
 def build_nested(
@@ -129,10 +122,7 @@ def build_nested(
     # Stage tables: modal nodes of depth `level`, restricted to those the
     # root skeleton actually reaches through counted positions; plus the
     # depth-`level` children whose truths the next stage's pushes gate on.
-    stage_modals: Dict[int, List[Modal]] = {M: []}
-    for chi in _modal_leaves(phi):
-        if chi not in stage_modals[M]:
-            stage_modals[M].append(chi)
+    stage_modals: Dict[int, List[Modal]] = {M: _modal_leaves(phi)}
     stage_children: Dict[int, List[PmlFormula]] = {}
     for level in range(M, 1, -1):
         refs: List[PmlFormula] = []
@@ -143,12 +133,9 @@ def build_nested(
                 if modal_depth(child) >= 1 and child not in refs:
                     refs.append(child)
         stage_children[level - 1] = refs
-        lower: List[Modal] = []
-        for gamma in refs:
-            for chi in _modal_leaves(gamma):
-                if chi not in lower:
-                    lower.append(chi)
-        stage_modals[level - 1] = lower
+        stage_modals[level - 1] = list(
+            dict.fromkeys(chi for gamma in refs for chi in _modal_leaves(gamma))
+        )
 
     stage: Dict[int, List[Stream]] = {}
     hmap: Dict[int, Dict[Tuple[int, Tuple[int, ...]], Stream]] = {}
@@ -351,18 +338,17 @@ def build_nested(
         for j, chi in enumerate(stage_modals[level]):
             for ii in subsets:
 
-                def atom_ref(atom, _j=j, _ii=ii):
+                # ``boolean`` calls it now, while j and ii hold.
+                def atom_ref(atom):
                     return plan.atom_check(
                         atom,
-                        lambda vs, _j=_j, _ii=_ii: plan.prev(
-                            hmap[level][(_j, vs)].acc(_ii)
-                        ),
-                        plan.prev(udim(_ii)),
+                        lambda vs: plan.prev(hmap[level][(j, vs)].acc(ii)),
+                        plan.prev(udim(ii)),
                         r2,
                     )
 
                 zref[(chi, ii)] = sep(
-                    plan, ii, plan.peano_truth(chi.constraint, atom_ref, r2)
+                    plan, ii, plan.boolean(chi.constraint, atom_ref, r2)
                 )
 
         if level < M:
@@ -371,7 +357,7 @@ def build_nested(
                     leaf = sc.leaf(plan, lambda chi: zref[(chi, ii)], r2)
                     plan.set(
                         f"cb{level}.{c}.{ii}",
-                        sep(plan, ii, plan.skeleton_truth(gamma, leaf, r2)),
+                        sep(plan, ii, plan.boolean(gamma, leaf, r2)),
                     )
             for s2 in stage[level + 1]:
                 for ii in subsets:

@@ -184,7 +184,7 @@ def _check_layer(
                 uref,
                 r2ref,
             )
-        modal_truth[chi] = plan.peano_truth(chi.constraint, atom_ref, r2ref)
+        modal_truth[chi] = plan.boolean(chi.constraint, atom_ref, r2ref)
     sc.check(plan, modal_truth.__getitem__, r2ref)
 
 

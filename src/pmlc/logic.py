@@ -20,7 +20,8 @@ equality, ``==`` is ``is`` and ``hash`` is a stored number.  Every node also
 stores the facts the compilers keep asking for: ``modal_depth``, ``degree``
 and ``max_prop`` on formulas, ``arity`` and ``degree`` on constraints.  The
 interning table holds its nodes weakly, so it keeps no formula alive.
-Hashing, comparing, listing subformulas and printing never recurse.
+Hashing, comparing, listing subformulas, printing and flattening never
+recurse: they share one iterative walk, ``postorder``.
 """
 
 from __future__ import annotations
@@ -330,10 +331,11 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 # Deepest nesting of negations, parentheses, modal nodes and unary minus
-# that the parser accepts.  The parser, the oracle and the compilers'
-# formula walks recurse a few interpreter frames per level, so deeper
-# input would overflow the interpreter's stack.  The formula core itself
-# (interning, hashing, subformula listing, printing) does not recurse.
+# that the parser accepts.  The parser recurses a few interpreter frames
+# per level, so deeper input would overflow the interpreter's stack.  The
+# formula core (interning, hashing, subformula listing, printing,
+# flattening) and the compilers' formula walks do not recurse, and the
+# oracle finishes deep formulas on an explicit stack.
 MAX_NESTING = 256
 
 
@@ -557,7 +559,7 @@ def parse_peano(text: str) -> PeanoFormula:
 
 def print_formula(phi: PmlFormula) -> str:
     text: dict[PmlFormula, str] = {}
-    for s in _postorder(phi):
+    for s in postorder(phi):
         if isinstance(s, Prop):
             text[s] = f"p{s.index}"
         elif isinstance(s, Not):
@@ -573,7 +575,7 @@ def print_formula(phi: PmlFormula) -> str:
 
 def print_peano(psi: PeanoFormula) -> str:
     text: dict[PeanoFormula, str] = {}
-    for s in _postorder(psi, _peano_operands):
+    for s in postorder(psi):
         if isinstance(s, PeanoAtom):
             text[s] = f"{_print_polynomial(s.monomials)} <= {s.bound}"
         elif isinstance(s, PeanoNot):
@@ -619,28 +621,29 @@ def max_prop(phi: PmlFormula) -> int:
     return phi.max_prop
 
 
-def _operands(phi: PmlFormula) -> tuple[PmlFormula, ...]:
-    if isinstance(phi, Not):
-        return (phi.operand,)
-    if isinstance(phi, And):
-        return (phi.left, phi.right)
-    if isinstance(phi, Modal):
-        return phi.children
+def _operands(s: Union[PmlFormula, PeanoFormula]) -> tuple:
+    if isinstance(s, (Not, PeanoNot)):
+        return (s.operand,)
+    if isinstance(s, (And, PeanoAnd)):
+        return (s.left, s.right)
+    if isinstance(s, Modal):
+        return s.children
     return ()
 
 
-def _peano_operands(psi: PeanoFormula) -> tuple[PeanoFormula, ...]:
-    if isinstance(psi, PeanoNot):
-        return (psi.operand,)
-    if isinstance(psi, PeanoAnd):
-        return (psi.left, psi.right)
-    return ()
+def skeleton_operands(s: Union[PmlFormula, PeanoFormula]) -> tuple:
+    """Operands of the Boolean structure over a formula's modal nodes, or
+    of a constraint over its atoms; none for its leaves: atoms, modal
+    nodes and modal-free subformulas."""
+    if isinstance(s, Modal) or isinstance(s, (Not, And)) and s.modal_depth == 0:
+        return ()
+    return _operands(s)
 
 
-def _postorder(phi: PmlFormula, operands=_operands) -> list[PmlFormula]:
-    """Distinct subformulas in the order a left-to-right depth-first walk
-    finishes them (every operand before its parent), without recursion;
-    ``operands=_peano_operands`` walks a constraint instead."""
+def postorder(phi: PmlFormula, operands=_operands) -> list[PmlFormula]:
+    """Distinct subterms of a formula or constraint in the order a
+    left-to-right depth-first walk finishes them (every operand before its
+    parent), without recursion, walking into the ``operands`` of each."""
     order: list[PmlFormula] = []
     done: set[PmlFormula] = set()
     stack: list[tuple[PmlFormula, bool]] = [(phi, False)]
@@ -663,7 +666,7 @@ def subformulas_ordered(phi: PmlFormula) -> tuple[PmlFormula, ...]:
     Guarantees: every subformula of an entry appears earlier; all entries of
     modal depth 0 precede all others; ``phi`` itself is the final entry.
     """
-    order = _postorder(phi)
+    order = postorder(phi)
     flat = [s for s in order if s.modal_depth == 0]
     return tuple(flat + [s for s in order if s.modal_depth > 0])
 
@@ -673,7 +676,7 @@ def subformulas_ordered(phi: PmlFormula) -> tuple[PmlFormula, ...]:
 
 
 def _modal_at(phi: PmlFormula, depth: int) -> list[Modal]:
-    return [s for s in _postorder(phi) if isinstance(s, Modal) and s.modal_depth == depth]
+    return [s for s in postorder(phi) if isinstance(s, Modal) and s.modal_depth == depth]
 
 
 def traces(phi: PmlFormula) -> Iterator[tuple[Modality, ...]]:
@@ -783,29 +786,24 @@ class FlattenLimitExceeded(ValueError):
     subformulas."""
 
 
-def _substitute_modal(phi: PmlFormula, true_set: frozenset[PmlFormula]) -> PmlFormula:
-    """Replace every maximal modal subformula by top/bottom per ``true_set``."""
-    if isinstance(phi, Modal):
-        return TOP_FORMULA if phi in true_set else BOT_FORMULA
-    if isinstance(phi, Prop):
-        return phi
-    if isinstance(phi, Not):
-        return Not(_substitute_modal(phi.operand, true_set))
-    return And(
-        _substitute_modal(phi.left, true_set), _substitute_modal(phi.right, true_set)
-    )
-
-
 def _guess(phi: PmlFormula, true_set: frozenset[PmlFormula]) -> PmlFormula:
-    """``phi`` with strict modal subformulas replaced per ``true_set``;
-    a modal root keeps its own modal operator."""
-    if isinstance(phi, Modal):
-        return Modal(
-            phi.modalities,
-            phi.constraint,
-            tuple(_substitute_modal(c, true_set) for c in phi.children),
-        )
-    return _substitute_modal(phi, true_set)
+    """``phi`` with every maximal strict modal subformula replaced by
+    top/bottom per ``true_set``; a modal root keeps its own modal
+    operator over its rewritten children."""
+
+    def operands(s: PmlFormula) -> tuple[PmlFormula, ...]:
+        return s.children if s is phi and isinstance(s, Modal) else skeleton_operands(s)
+
+    out: dict[PmlFormula, PmlFormula] = {}
+    for s in postorder(phi, operands):
+        kids = tuple(out[c] for c in operands(s))
+        if s is phi and isinstance(s, Modal):
+            out[s] = Modal(s.modalities, s.constraint, kids)
+        elif isinstance(s, Modal):
+            out[s] = TOP_FORMULA if s in true_set else BOT_FORMULA
+        else:
+            out[s] = type(s)(*kids) if kids else s
+    return out[phi]
 
 
 def _or(a: PmlFormula, b: PmlFormula) -> PmlFormula:

@@ -251,8 +251,14 @@ def _states_after(m: Mpnn, g: Graph, keep_trace: bool) -> list[list[Column]]:
         )
     n = g.node_count
     nodes = range(n)
-    cols = [([g.labels[v][c] for v in nodes], 1) for c in range(m.colours)]
-    tables = [cols]
+    # The first comb reads only some colours, so only their label columns
+    # are built, unless the trace or a network without layers returns them.
+    if keep_trace or not m.layers:
+        colours = range(m.colours)
+    else:
+        colours = {i % m.colours for i in m.layers[0].comb.program.reads}
+    cols = {c: ([g.labels[v][c] for v in nodes], 1) for c in colours}
+    tables = [list(cols.values())]
     ins = [neigh(g, v, "in") for v in nodes]
     outs = [neigh(g, v, "out") for v in nodes]
     # Each port as (members, group count, mean scale): node u's value goes
@@ -277,9 +283,10 @@ def _states_after(m: Mpnn, g: Graph, keep_trace: bool) -> list[list[Column]]:
             )
             inputs.append((nums * n if port == 3 else nums, den))
         cols = fnn_eval(layer.comb, inputs, n)
-        if keep_trace:
-            tables.append(cols)
-    return tables if keep_trace else [cols]
+        if not keep_trace:
+            tables.clear()
+        tables.append(cols)
+    return tables
 
 
 def _fractions(cols: list[Column]) -> list[list[Rational]]:

@@ -219,6 +219,13 @@ def test_compile_deep_in_chain_stops_at_the_trace_cap(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_compile_rejects_a_negative_trace_cap(tmp_path, capsys):
+    f = write(tmp_path, "f.pml", chain("out", 2))
+    assert main(["compile", f, "--target", "nested-mixed-sum",
+                 "--trace-cap", "-1"]) == 2
+    assert "error: the trace cap must be nonnegative" in capsys.readouterr().err
+
+
 def test_global_deep_flattening_bound(tmp_path, capsys):
     at_bound = write(tmp_path, "top7.pml", chain("top", MAX_FLATTEN_MODALS + 1))
     assert main(["compile", at_bound, "--target", "global-deep"]) == 0
@@ -303,6 +310,33 @@ def test_eval_rejects_a_negative_layer_count(tmp_path, capsys):
     g = graph_file(tmp_path, "g.graph", 1, 2, [], [(1, 1)])
     assert main(["eval", bad, g]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+# Each edit of a compiled network file claims more than the file holds, or
+# disagrees with itself: a million-fold neuron count runs out of neuron
+# lines, a 5,000-digit weight passes CPython's int-string limit, and a
+# state width that is not a quarter of its comb's input width fails the
+# width check.
+_MPNN_EDITS = {
+    "neuron-count": ("fnnlayer 8 3", "fnnlayer 8 1000000000"),
+    "huge-weight": ("neuron 0/1 1:1/1", "neuron 0/1 1:" + "7" * 5000 + "/1"),
+    "state-width": ("layer 0 mean mean mean 2 3", "layer 0 mean mean mean 3 3"),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(_MPNN_EDITS))
+def test_eval_rejects_a_network_file_that_claims_too_much(tmp_path, capsys, edit):
+    net = compiled(tmp_path, "<top>{x1 >= 1}(p0)", "global-shallow")
+    old, new = _MPNN_EDITS[edit]
+    text = open(net).read()
+    assert old in text
+    bad = write(tmp_path, "bad.mpnn", text.replace(old, new, 1))
+    g = graph_file(tmp_path, "g.graph", 2, 2, [], [(1, 1), (0, 0)])
+    start = time.perf_counter()
+    assert main(["eval", bad, g]) == 2
+    assert time.perf_counter() - start < 10
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
@@ -397,6 +431,14 @@ def test_verify_needs_target_or_network(tmp_path, capsys):
     assert "--target" in capsys.readouterr().err
 
 
+def test_verify_rejects_a_negative_seed_count(tmp_path, capsys):
+    f = write(tmp_path, "f.pml", "<in>{x1 <= 1}(p0)")
+    assert main(["verify", f, "--target", "local-mixed-sum", "--seeds", "-5"]) == 2
+    captured = capsys.readouterr()
+    assert "RESULT" not in captured.out
+    assert "error: --seeds must be nonnegative" in captured.err
+
+
 def test_verify_fragment_mismatch_exits_3(tmp_path):
     f = write(tmp_path, "f.pml", "<id>{x1 >= 1}(p0)")
     assert main(["verify", f, "--target", "local-mixed-sum", "--seeds", "3"]) == 3
@@ -415,6 +457,11 @@ def test_demo_inexpressibility_line(capsys):
 def test_demo_oracle_only(capsys):
     assert main(["demo-inexpressibility", "--count", "0"]) == 0
     assert capsys.readouterr().out.strip() == "oracle: UNSAT vs SAT"
+
+
+def test_demo_rejects_a_negative_count(capsys):
+    assert main(["demo-inexpressibility", "--count", "-3"]) == 2
+    assert "error: --count must be nonnegative" in capsys.readouterr().err
 
 
 def test_demo_is_deterministic(capsys):

@@ -20,7 +20,7 @@ from pmlc.compiler import (
     format_report,
     parse_target,
 )
-from pmlc.compiler.build import Ledger, NetBuilder
+from pmlc.compiler.build import LayerPlan, Ledger, NetBuilder
 from pmlc.graphs import (
     Graph,
     PointedGraph,
@@ -28,7 +28,17 @@ from pmlc.graphs import (
     is_regular,
     is_strongly_marked,
 )
-from pmlc.logic import Modality, Not, Prop, degree, modal_depth, parse_formula
+from pmlc.logic import (
+    Modal,
+    Modality,
+    Not,
+    PeanoNot,
+    Prop,
+    degree,
+    modal_depth,
+    parse_formula,
+    parse_peano,
+)
 from pmlc.mpnn import (
     Aggregator,
     CertaintyDescriptor,
@@ -212,6 +222,61 @@ def test_boolean_nesting_compiles_to_linear_size():
         deep = Not(deep)
     net, _report = compile(deep, "global-shallow")
     assert sum(len(fl.neurons) for fl in net.layers[0].comb.layers) <= 2 * 5000
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "global-shallow",
+        "global-deep",
+        "local-mean-regular",
+        "local-mixed-sum",
+        "shallow-mixed-max",
+        "nested-mixed-sum",
+    ],
+)
+def test_deep_skeleton_over_a_modal_node_compiles(name):
+    # 3,000 negations over a modal node, past the parser's nesting bound
+    # and the recursion limit: the check layer walks the skeleton without
+    # recursion.  A nested network's class check re-parses the formula,
+    # so only the other targets are judged.
+    modality = "top" if name.startswith("global") else "out"
+    phi = parse_formula(f"<{modality}>{{x1 >= 1}}(p0)")
+    for _ in range(3000):
+        phi = Not(phi)
+    net, _report = compile(phi, name)
+    if name.startswith("nested"):
+        return
+    rng = random.Random(f"deep-skeleton-{name}")
+    for seed in range(6):
+        member = class_instance(net.required_class, seed, rng, phi, max_nodes=5)
+        assert judge(net, member).accepted == models(member, phi)
+
+
+@pytest.mark.parametrize("name", ["global-shallow", "local-mixed-sum", "nested-mixed-max"])
+def test_modal_node_over_a_deep_constraint_compiles(name):
+    psi = parse_peano("x1 >= 1")
+    for _ in range(3001):
+        psi = PeanoNot(psi)
+    m = Modality.TOP if name.startswith("global") else Modality.E_OUT
+    net, report = compile(Modal((m,), psi, (Prop(0),)), name)
+    assert report.layer_count == len(net.layers)
+
+
+def test_repeated_atom_is_checked_once(monkeypatch):
+    # The constraint repeats the atom !x2 <= 3: each distinct atom gets one
+    # check, and each distinct Not or And one gadget.
+    checked = []
+    atom_check = LayerPlan.atom_check
+
+    def spy(self, atom, *args):
+        checked.append(atom)
+        return atom_check(self, atom, *args)
+
+    monkeypatch.setattr(LayerPlan, "atom_check", spy)
+    phi = parse_formula("<in,out>{(!x2 <= 3 & (x2 <= 4 & !x2 <= 3))}(p1, !p0)")
+    compile(phi, "local-mean-regular")
+    assert len(checked) == len(set(checked)) == 2
 
 
 def test_nested_needs_depth_critical_children():

@@ -2,7 +2,10 @@
 
 No module holds an ``assert`` statement: invariants must survive
 ``python -O``, so they are explicit raises.  No module imports a name it
-never uses.
+never uses.  No function in ``pmlc.compiler`` calls itself, and in
+``pmlc.logic`` only the parser's methods do, which ``MAX_NESTING`` bounds:
+every other formula walk goes through the iterative ``postorder`` or an
+explicit stack, so no input ends in unbounded recursion.
 """
 
 import ast
@@ -55,3 +58,45 @@ def test_no_unused_imports(path):
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     unused = sorted(set(imported) - used - _exported(tree))
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def _self_calls(tree: ast.Module) -> list:
+    """``Class.method`` or ``function`` for every function whose body calls
+    it by name, or a method that calls ``self.<its name>``."""
+    owner = {
+        item: node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+    }
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for call in ast.walk(fn):
+            f = getattr(call, "func", None)
+            direct = isinstance(f, ast.Name) and f.id == fn.name and fn not in owner
+            method = (
+                isinstance(f, ast.Attribute)
+                and f.attr == fn.name
+                and isinstance(f.value, ast.Name)
+                and f.value.id in ("self", "cls")
+                and fn in owner
+            )
+            if direct or method:
+                found.append(f"{owner[fn]}.{fn.name}" if fn in owner else fn.name)
+                break
+    return found
+
+
+@pytest.mark.parametrize(
+    "path", sorted((SRC / "compiler").glob("*.py")) + [SRC / "logic.py"],
+    ids=lambda p: str(p.relative_to(SRC)),
+)
+def test_no_recursive_formula_walks(path):
+    calls = _self_calls(_tree(path))
+    if path.name == "logic.py":
+        # The detector sees the parser's recursion, the one allowed here.
+        assert "_Parser.phi" in calls
+        calls = [c for c in calls if not c.startswith("_Parser.")]
+    assert not calls, f"{path.name}: recursive {calls}"

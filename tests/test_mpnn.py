@@ -2,11 +2,14 @@
 
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pmlc.compiler import compile
 from pmlc.graphs import Graph, PointedGraph, gen_pointed, parse_graph, print_graph
+from pmlc.logic import parse_formula
 from pmlc.mpnn import (
     Aggregator,
     CertaintyDescriptor,
@@ -295,6 +298,25 @@ def test_zero_layer_network_returns_labels():
     net = Mpnn(2, (), CertaintyDescriptor(0), False, "any")
     g = Graph(3, 2, frozenset(), ((1, 0), (0, 1), (1, 1)))
     assert mpnn_eval(net, g) == [[ONE, ZERO], [ZERO, ONE], [ONE, ONE]]
+
+
+def test_judge_builds_only_the_label_columns_the_first_comb_reads():
+    # The p100000 network has 100,002 colours (the mark included) and reads
+    # one of them: judging a 2-node member stays far below one column per
+    # colour, and the trace still returns every label column.
+    net, _report = compile(parse_formula("p100000"), "global-shallow")
+    labels = [[0] * net.colours for _ in range(2)]
+    labels[0][100000] = labels[0][net.mark_colour] = 1
+    g = Graph(2, net.colours, frozenset(), tuple(map(tuple, labels)))
+    tracemalloc.start()
+    try:
+        verdict = judge(net, PointedGraph(g, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.accepted and peak < 2**20
+    (first, _state) = mpnn_eval_traced(net, g)
+    assert len(first[0]) == net.colours and [row[100000] for row in first] == [1, 0]
 
 
 def test_global_mean_projection_on_lemma_pair():
