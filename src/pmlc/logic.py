@@ -635,7 +635,7 @@ def skeleton_operands(s: Union[PmlFormula, PeanoFormula]) -> tuple:
     """Operands of the Boolean structure over a formula's modal nodes, or
     of a constraint over its atoms; none for its leaves: atoms, modal
     nodes and modal-free subformulas."""
-    if isinstance(s, Modal) or isinstance(s, (Not, And)) and s.modal_depth == 0:
+    if isinstance(s, Modal) or (isinstance(s, (Not, And)) and s.modal_depth == 0):
         return ()
     return _operands(s)
 

@@ -264,8 +264,8 @@ def test_modal_node_over_a_deep_constraint_compiles(name):
 
 
 def test_repeated_atom_is_checked_once(monkeypatch):
-    # The constraint repeats the atom !x2 <= 3: each distinct atom gets one
-    # check, and each distinct Not or And one gadget.
+    # The constraint repeats the atom !x2 <= 3 (local-mean-regular bank
+    # formula 22): each distinct atom gets one check.
     checked = []
     atom_check = LayerPlan.atom_check
 
