@@ -2,17 +2,25 @@
 
 This module is the ground truth the compiled networks are verified
 against.  It evaluates constraints over exact arbitrary-precision integers
-and the modal satisfaction relation by direct counting, with no shortcuts
-beyond per-call memoization on (node, subformula).
+and the modal satisfaction relation by direct counting.
+
+Each formula or constraint is turned once into a plan: one small tuple per
+distinct subterm, in ``logic.postorder``, naming its operands by position.
+Plans hold ints and modalities, never formulas, and are cached weakly per
+interned formula.  ``models`` walks a plan twice, without recursion: a
+demand pass, parents first, gives each subformula the nodes it is needed
+at, and a truth pass, operands first, gives the nodes where it holds.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Sequence
 
 from .graphs import Graph, PointedGraph, neigh
 from .logic import (
     And,
+    Modal,
     Modality,
     Not,
     PeanoAtom,
@@ -22,7 +30,69 @@ from .logic import (
     Prop,
     max_prop,
     peano_arity,
+    postorder,
 )
+
+# Plan step tags: formula steps, then constraint steps.
+PROP, NOT, AND, MODAL, ATOM, PNOT, PAND = range(7)
+
+_DIRECTION = {Modality.E_IN: "in", Modality.E_OUT: "out"}
+
+_PLANS: "weakref.WeakKeyDictionary[object, list]" = weakref.WeakKeyDictionary()
+
+
+def _plan(phi) -> list:
+    """The cached plan of a formula or constraint."""
+    plan = _PLANS.get(phi)
+    if plan is None:
+        plan = _PLANS[phi] = _steps(phi)
+    return plan
+
+
+def _steps(phi) -> list:
+    """One step per distinct subterm, in postorder: ``(PROP, index)``,
+    ``(NOT, i)``, ``(AND, i, j)``, ``(MODAL, ((modality, i), ...),
+    constraint_plan)``, ``(ATOM, ((coeff, (variable - 1, ...)), ...),
+    bound)``, ``(PNOT, i)`` and ``(PAND, i, j)``, where ``i`` and ``j`` are
+    earlier positions.  A constraint holds no modal node, so ``_plan`` and
+    ``_steps`` nest at most twice."""
+    order = postorder(phi)
+    at = {s: i for i, s in enumerate(order)}
+    plan = []
+    for s in order:
+        if isinstance(s, Prop):
+            plan.append((PROP, s.index))
+        elif isinstance(s, Modal):
+            positions = tuple(zip(s.modalities, (at[c] for c in s.children)))
+            plan.append((MODAL, positions, _plan(s.constraint)))
+        elif isinstance(s, PeanoAtom):
+            monomials = tuple(
+                (m.coeff, tuple(v - 1 for v in m.variables)) for m in s.monomials
+            )
+            plan.append((ATOM, monomials, s.bound))
+        elif isinstance(s, (Not, PeanoNot)):
+            plan.append((NOT if isinstance(s, Not) else PNOT, at[s.operand]))
+        else:
+            plan.append((AND if isinstance(s, And) else PAND, at[s.left], at[s.right]))
+    return plan
+
+
+def _holds(plan: list, counts: Sequence[int]) -> bool:
+    """Truth of a constraint plan at natural-number counts."""
+    truth: list[bool] = []
+    for step in plan:
+        if step[0] == ATOM:
+            total = 0
+            for coeff, variables in step[1]:
+                for x in variables:
+                    coeff *= counts[x]
+                total += coeff
+            truth.append(total <= step[2])
+        elif step[0] == PNOT:
+            truth.append(not truth[step[1]])
+        else:
+            truth.append(truth[step[1]] and truth[step[2]])
+    return truth[-1]
 
 
 def eval_peano(psi: PeanoFormula, assignment: Sequence[int]) -> bool:
@@ -32,65 +102,7 @@ def eval_peano(psi: PeanoFormula, assignment: Sequence[int]) -> bool:
             f"constraint uses x{peano_arity(psi)} but got "
             f"{len(assignment)} values"
         )
-    try:
-        return _eval_peano(psi, assignment)
-    except RecursionError:
-        return _eval_peano_stack(psi, assignment)
-
-
-def _eval_peano(psi: PeanoFormula, n: Sequence[int]) -> bool:
-    if isinstance(psi, PeanoAtom):
-        total = 0
-        for m in psi.monomials:
-            term = m.coeff
-            for v in m.variables:
-                term *= n[v - 1]
-            total += term
-        return total <= psi.bound
-    if isinstance(psi, PeanoNot):
-        return not _eval_peano(psi.operand, n)
-    return _eval_peano(psi.left, n) and _eval_peano(psi.right, n)
-
-
-def _eval_peano_stack(psi: PeanoFormula, n: Sequence[int]) -> bool:
-    """``_eval_peano`` without recursion, for constraints deeper than the
-    interpreter's stack (only the constructors build them): a node stays
-    on the stack until every operand it needs has a truth value."""
-    truth: dict[PeanoFormula, bool] = {}
-    stack = [psi]
-    while stack:
-        f = stack[-1]
-        if f in truth:
-            stack.pop()
-            continue
-        if isinstance(f, PeanoAtom):
-            truth[f] = _eval_peano(f, n)
-        elif isinstance(f, PeanoNot):
-            if f.operand not in truth:
-                stack.append(f.operand)
-                continue
-            truth[f] = not truth[f.operand]
-        else:
-            if f.left not in truth:
-                stack.append(f.left)
-                continue
-            if truth[f.left] and f.right not in truth:
-                stack.append(f.right)
-                continue
-            truth[f] = truth[f.left] and truth[f.right]
-        stack.pop()
-    return truth[psi]
-
-
-def modality_extension(pi: Modality, pg: PointedGraph) -> tuple[int, ...]:
-    """Nodes a modality ranges over at the focus (sorted)."""
-    if pi is Modality.ID:
-        return (pg.focus,)
-    if pi is Modality.E_IN:
-        return neigh(pg.graph, pg.focus, "in")
-    if pi is Modality.E_OUT:
-        return neigh(pg.graph, pg.focus, "out")
-    return tuple(range(pg.graph.node_count))
+    return _holds(_plan(psi), assignment)
 
 
 def models(pg: PointedGraph, phi: PmlFormula) -> bool:
@@ -101,80 +113,62 @@ def models(pg: PointedGraph, phi: PmlFormula) -> bool:
             f"formula mentions p{max_prop(phi)} but the graph has "
             f"{g.colours} colours"
         )
-    # Structural keys let shared/duplicated subtrees (e.g. from flattening)
-    # collapse into one evaluation per node.
-    memo: dict[tuple[int, PmlFormula], bool] = {}
-
-    def sat(v: int, f: PmlFormula) -> bool:
-        key = (v, f)
-        if key in memo:
-            return memo[key]
-        if isinstance(f, Prop):
-            result = g.labels[v][f.index] == 1
-        elif isinstance(f, Not):
-            result = not sat(v, f.operand)
-        elif isinstance(f, And):
-            result = sat(v, f.left) and sat(v, f.right)
-        else:
-            counts = []
-            for pi, child in zip(f.modalities, f.children):
-                extension = modality_extension(pi, PointedGraph(g, v))
-                counts.append(sum(1 for u in extension if sat(u, child)))
-            result = _eval_peano(f.constraint, counts)
-        memo[key] = result
-        return result
-
-    try:
-        return sat(pg.focus, phi)
-    except RecursionError:
-        # A formula or constraint deeper than the interpreter's stack:
-        # finish with an explicit stack over the same memo, which keeps
-        # every finished entry.
-        return _sat_stack(g, memo, pg.focus, phi)
-
-
-def _sat_stack(
-    g: Graph, memo: dict[tuple[int, PmlFormula], bool], v: int, phi: PmlFormula
-) -> bool:
-    """``sat`` of ``models`` without recursion: a pair stays on the stack
-    until every pair it needs is in ``memo``."""
-    stack = [(v, phi)]
-    while stack:
-        key = stack[-1]
-        if key in memo:
-            stack.pop()
+    plan = _plan(phi)
+    # Demand, parents first: the nodes each subformula is needed at.
+    need: list = [frozenset()] * len(plan)
+    need[-1] = {pg.focus}
+    for i in range(len(plan) - 1, -1, -1):
+        step, here = plan[i], need[i]
+        if step[0] == PROP or not here:
             continue
-        u, f = key
-        if isinstance(f, Prop):
-            memo[key] = g.labels[u][f.index] == 1
-        elif isinstance(f, Not):
-            sub = (u, f.operand)
-            if sub not in memo:
-                stack.append(sub)
-                continue
-            memo[key] = not memo[sub]
-        elif isinstance(f, And):
-            left, right = (u, f.left), (u, f.right)
-            if left not in memo:
-                stack.append(left)
-                continue
-            if memo[left] and right not in memo:
-                stack.append(right)
-                continue
-            memo[key] = memo[left] and memo[right]
+        if step[0] == MODAL:
+            wants = [(j, _reach(g, pi, here)) for pi, j in step[1]]
         else:
-            needs = [
-                [(w, child) for w in modality_extension(pi, PointedGraph(g, u))]
-                for pi, child in zip(f.modalities, f.children)
-            ]
-            missing = [pair for pairs in needs for pair in pairs if pair not in memo]
-            if missing:
-                stack.extend(missing)
-                continue
-            counts = [sum(1 for pair in pairs if memo[pair]) for pairs in needs]
-            memo[key] = _eval_peano_stack(f.constraint, counts)
-        stack.pop()
-    return memo[(v, phi)]
+            wants = [(j, here) for j in step[1:]]
+        for j, nodes in wants:
+            need[j] = need[j] | nodes if need[j] else nodes
+    # Truth, operands first: the needed nodes where each subformula holds.
+    labels = g.labels
+    true: list = []
+    for step, here in zip(plan, need):
+        if step[0] == PROP:
+            colour = step[1]
+            true.append({v for v in here if labels[v][colour]})
+        elif step[0] == NOT:
+            true.append(here - true[step[1]])
+        elif step[0] == AND:
+            true.append(here & true[step[1]] & true[step[2]])
+        else:
+            verdicts: dict = {}
+            holds = set()
+            for v in here:
+                counts = tuple([_count(g, pi, true[j], v) for pi, j in step[1]])
+                verdict = verdicts.get(counts)
+                if verdict is None:
+                    verdict = verdicts[counts] = _holds(step[2], counts)
+                if verdict:
+                    holds.add(v)
+            true.append(holds)
+    return pg.focus in true[-1]
+
+
+def _reach(g: Graph, pi: Modality, nodes):
+    """The nodes ``pi`` ranges over from any of ``nodes``."""
+    if pi is Modality.ID:
+        return nodes
+    if pi is Modality.TOP:
+        return set(range(g.node_count))
+    direction = _DIRECTION[pi]
+    return {u for v in nodes for u in neigh(g, v, direction)}
+
+
+def _count(g: Graph, pi: Modality, true: set, v: int) -> int:
+    """How many nodes of ``true`` ``pi`` ranges over from ``v``."""
+    if pi is Modality.TOP:
+        return len(true)
+    if pi is Modality.ID:
+        return int(v in true)
+    return len(true.intersection(neigh(g, v, _DIRECTION[pi])))
 
 
 def all_pointed_graphs(max_nodes: int, colours: int, edges: bool = True):

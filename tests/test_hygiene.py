@@ -2,10 +2,11 @@
 
 No module holds an ``assert`` statement: invariants must survive
 ``python -O``, so they are explicit raises.  No module imports a name it
-never uses.  No function in ``pmlc.compiler`` calls itself, and in
-``pmlc.logic`` only the parser's methods do, which ``MAX_NESTING`` bounds:
-every other formula walk goes through the iterative ``postorder`` or an
-explicit stack, so no input ends in unbounded recursion.
+never uses.  No function in ``pmlc.compiler`` or ``pmlc.oracle`` calls
+itself, and in ``pmlc.logic`` only the parser's methods do, which
+``MAX_NESTING`` bounds: every other formula walk goes through the
+iterative ``postorder`` or an explicit stack, so no input ends in
+unbounded recursion.
 """
 
 import ast
@@ -90,7 +91,8 @@ def _self_calls(tree: ast.Module) -> list:
 
 
 @pytest.mark.parametrize(
-    "path", sorted((SRC / "compiler").glob("*.py")) + [SRC / "logic.py"],
+    "path",
+    sorted((SRC / "compiler").glob("*.py")) + [SRC / "logic.py", SRC / "oracle.py"],
     ids=lambda p: str(p.relative_to(SRC)),
 )
 def test_no_recursive_formula_walks(path):

@@ -1,30 +1,29 @@
 """Reference semantics: constraint evaluation and modal satisfaction."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
 from pmlc.graphs import Graph, PointedGraph, gen_pointed, neigh
+from pmlc import oracle
 from pmlc.logic import (
+    And,
     Modal,
     Modality,
     Not,
     PeanoAnd,
+    PeanoAtom,
     PeanoNot,
     Prop,
     flatten_global,
     parse_formula,
     parse_peano,
 )
-from pmlc.oracle import (
-    _sat_stack,
-    all_pointed_graphs,
-    eval_peano,
-    modality_extension,
-    models,
-)
+from pmlc.oracle import all_pointed_graphs, eval_peano, models
 
-from formula_gen import random_formula
+from formula_gen import random_formula, random_peano
 
 
 def graph_of(n, colours, edges, labels):
@@ -60,19 +59,6 @@ def test_eval_peano_arity_mismatch():
 
 def test_eval_peano_ignores_spare_values():
     assert eval_peano(parse_peano("x1 <= 1"), (1, 99)) is True
-
-
-# ---------------------------------------------------------------------------
-# Modality extension
-
-
-def test_modality_extension():
-    g = graph_of(4, 1, {(1, 0), (0, 2)}, [[0]] * 4)
-    pg = PointedGraph(g, 0)
-    assert modality_extension(Modality.TOP, pg) == (0, 1, 2, 3)
-    assert modality_extension(Modality.ID, pg) == (0,)
-    assert modality_extension(Modality.E_IN, pg) == (1,)
-    assert modality_extension(Modality.E_OUT, pg) == (2,)
 
 
 # ---------------------------------------------------------------------------
@@ -218,12 +204,85 @@ def test_models_survives_deep_modal_nesting():
     assert [models(PointedGraph(g, v), phi) for v in range(3)] == truth
 
 
-def test_explicit_stack_agrees_with_recursion():
-    for seed in range(40):
-        rng = random.Random(f"stack-{seed}")
-        pg = gen_pointed(seed, 5, 2, 0.4)
-        phi = random_formula(rng, 3, list(Modality))
-        assert _sat_stack(pg.graph, {}, pg.focus, phi) == models(pg, phi), seed
+def _direct(g, v, phi):
+    """Truth at ``v`` by recursion and counting straight from the edge set,
+    independent of ``pmlc.oracle``; for small formulas only."""
+    if isinstance(phi, Prop):
+        return g.labels[v][phi.index] == 1
+    if isinstance(phi, Not):
+        return not _direct(g, v, phi.operand)
+    if isinstance(phi, And):
+        return _direct(g, v, phi.left) and _direct(g, v, phi.right)
+    ranges = {
+        Modality.ID: [v],
+        Modality.E_IN: [s for s, d in g.edges if d == v],
+        Modality.E_OUT: [d for s, d in g.edges if s == v],
+        Modality.TOP: range(g.node_count),
+    }
+    counts = [
+        sum(_direct(g, u, child) for u in ranges[pi])
+        for pi, child in zip(phi.modalities, phi.children)
+    ]
+    return _direct_peano(phi.constraint, counts)
+
+
+def _direct_peano(psi, counts):
+    if isinstance(psi, PeanoAtom):
+        total = 0
+        for m in psi.monomials:
+            term = m.coeff
+            for x in m.variables:
+                term *= counts[x - 1]
+            total += term
+        return total <= psi.bound
+    if isinstance(psi, PeanoNot):
+        return not _direct_peano(psi.operand, counts)
+    return _direct_peano(psi.left, counts) and _direct_peano(psi.right, counts)
+
+
+def _small_graph(rng):
+    """1 to 9 nodes (a pointed graph needs one), with self-loops allowed and
+    the last node's edges dropped, so it is isolated."""
+    n = rng.randint(1, 9)
+    p = rng.choice([0.0, 0.15, 0.35, 0.7])
+    edges = {(s, d) for s in range(n) for d in range(n) if rng.random() < p}
+    if rng.random() < 0.5:
+        edges = {(s, d) for s, d in edges if n - 1 not in (s, d)}
+    labels = [[rng.randint(0, 1) for _ in range(2)] for _ in range(n)]
+    return graph_of(n, 2, edges, labels)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_models_matches_direct_counting_at_every_focus(seed):
+    rng = random.Random(f"differential-{seed}")
+    mods = list(Modality)
+    phi = random_formula(rng, 3, mods)
+    shared = random_formula(rng, 2, mods)
+    # ``shared`` occurs under three parents, one of them a two-position
+    # modal node over both ``shared`` and ``phi``, which is needed at
+    # many nodes, so its constraint meets many count vectors.
+    pair = tuple(rng.choice(mods) for _ in range(2))
+    over = Modal(pair, random_peano(rng, 2, 2), (shared, And(shared, phi)))
+    reach = (rng.choice([Modality.E_IN, Modality.E_OUT, Modality.TOP]),)
+    phi = And(Not(And(phi, shared)), Modal(reach, random_peano(rng, 1, 2), (over,)))
+    for _ in range(3):
+        g = _small_graph(rng)
+        for v in range(g.node_count):
+            assert models(PointedGraph(g, v), phi) == _direct(g, v, phi), (seed, v)
+
+
+def test_plan_cache_keeps_no_formula_alive():
+    g = graph_of(2, 1, [(0, 1)], [(0,), (1,)])
+    psi = parse_peano("x1 >= 7919")
+    phi = Modal((Modality.E_OUT,), psi, (Not(Prop(0)),))
+    assert models(PointedGraph(g, 0), phi) is False
+    assert phi in oracle._PLANS
+    ref = weakref.ref(phi)
+    del phi
+    gc.collect()
+    assert ref() is None
+    cached = list(oracle._PLANS.keys())
+    assert not any(isinstance(k, Modal) and k.constraint is psi for k in cached)
 
 
 def test_models_memoization_consistency():
