@@ -310,6 +310,11 @@ class ParseError(ValueError):
         self.pos = pos
 
 
+class _ProductTooLarge(ParseError):
+    """A product over ``MAX_PRODUCT_TERMS``: the same term text fails in
+    every reading, so the parser does not backtrack past it."""
+
+
 _TOKEN_RE = re.compile(
     r"\s+|(?P<prop>p\d+)|(?P<var>x\d+)|(?P<int>\d+)|(?P<word>[A-Za-z_]+)"
     r"|(?P<op><=|>=|[<>=!&|(){},+\-*])"
@@ -334,9 +339,14 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 # that the parser accepts.  The parser recurses a few interpreter frames
 # per level, so deeper input would overflow the interpreter's stack.  The
 # formula core (interning, hashing, subformula listing, printing,
-# flattening) and the compilers' formula walks do not recurse, and the
-# oracle finishes deep formulas on an explicit stack.
+# flattening), the compilers' formula walks and the oracle do not recurse.
 MAX_NESTING = 256
+
+# Most monomial products one ``*`` in a constraint term may form before
+# merging.  Each atom normalizes to one polynomial, so a product of sums
+# expands in full: without the cap, k factors of an 8-variable sum form
+# C(k+7, 7) monomials.  Bank atoms have at most 3 monomials.
+MAX_PRODUCT_TERMS = 4096
 
 
 class _Parser:
@@ -455,6 +465,8 @@ class _Parser:
             mark = self.i
             try:
                 return self.atom()
+            except _ProductTooLarge:
+                raise
             except ParseError:
                 self.i = mark
             self.next()
@@ -499,8 +511,14 @@ class _Parser:
     def term_mul(self) -> dict[tuple[int, ...], int]:
         acc = self.term_unary()
         while self.at("*"):
-            self.next()
+            pos = self.next()[2]
             rhs = self.term_unary()
+            if len(acc) * len(rhs) > MAX_PRODUCT_TERMS:
+                raise _ProductTooLarge(
+                    f"product of {len(acc)} by {len(rhs)} monomials exceeds "
+                    f"the limit of {MAX_PRODUCT_TERMS} products",
+                    pos,
+                )
             out: dict[tuple[int, ...], int] = {}
             for k1, v1 in acc.items():
                 for k2, v2 in rhs.items():

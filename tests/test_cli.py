@@ -22,7 +22,7 @@ from pmlc.graphs import (
     parse_graph,
     print_graph,
 )
-from pmlc.logic import MAX_FLATTEN_MODALS, MAX_NESTING
+from pmlc.logic import MAX_FLATTEN_MODALS, MAX_NESTING, MAX_PRODUCT_TERMS
 from pmlc.mpnn import parse_mpnn
 from pmlc.net import rat
 
@@ -81,6 +81,29 @@ def test_formula_at_the_nesting_bound_runs_end_to_end(tmp_path, capsys):
     assert main(["eval", out, g]) == 0
     assert main(["verify", f, "--target", "global-shallow", "--seeds", "3"]) == 0
     assert "error" not in capsys.readouterr().err
+
+
+def product_of_sums(k, modality="top"):
+    """Eight positions under a product of k copies of x1+...+x8, which
+    expands to C(k+7, 7) monomials: 31,824 at k = 12, 1,562,275 at k = 18."""
+    factor = "(" + "+".join(f"x{i}" for i in range(1, 9)) + ")"
+    return (
+        f"<{','.join([modality] * 8)}>{{{'*'.join([factor] * k)} >= 1}}"
+        f"({','.join(['p0'] * 8)})"
+    )
+
+
+def test_parse_rejects_a_runaway_product(tmp_path, capsys):
+    f = write(tmp_path, "k18.pml", product_of_sums(18))
+    start = time.perf_counter()
+    assert main(["parse", f]) == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"limit of {MAX_PRODUCT_TERMS}" in err
+    assert "Traceback" not in err
+    # Four factors expand to C(11, 7) = 330 monomials, under the cap.
+    f = write(tmp_path, "k4.pml", product_of_sums(4))
+    assert main(["parse", f]) == 0
 
 
 def test_cli_defaults_are_the_library_defaults():
@@ -337,6 +360,29 @@ def test_eval_rejects_a_network_file_that_claims_too_much(tmp_path, capsys, edit
     assert time.perf_counter() - start < 10
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_eval_rejects_a_runaway_product_in_a_tree_like_formula_line(
+    tmp_path, capsys
+):
+    # A tree-like network's class check parses its formula line at judge
+    # time, so the product cap guards eval too.
+    net = compiled(tmp_path, chain("out", 2), "nested-mixed-sum")
+    lines = open(net).read().splitlines(keepends=True)
+    at = [i for i, line in enumerate(lines) if line.startswith("formula ")]
+    assert len(at) == 1
+    lines[at[0]] = "formula " + product_of_sums(18, "out") + "\n"
+    bad = write(tmp_path, "bad.mpnn", "".join(lines))
+    g = str(tmp_path / "t.graph")
+    f = write(tmp_path, "f.pml", chain("out", 2))
+    assert main(["gen", "--class", "tree-like", "--seed", "1",
+                 "--formula", f, "--out", g]) == 0
+    start = time.perf_counter()
+    assert main(["eval", bad, g]) == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"limit of {MAX_PRODUCT_TERMS}" in err
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from itertools import islice
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pmlc.compiler import ALL_TARGETS
 from pmlc.logic import (
     And,
     BOT_FORMULA,
@@ -32,6 +33,8 @@ from pmlc.logic import (
     trace_index,
     traces,
 )
+
+from targets import bank
 
 EX_CUBIC = "<top,top,top>{x1*x1*x1 - x2*x2*x3 <= 0}(p0,p1,p2)"
 EX_EDGE = "<in,out>{x1*x1 - x2*x2*x2 <= 1}(p0,(p1 & !p2))"
@@ -158,6 +161,12 @@ def test_parse_error_carries_position():
 def test_examples_round_trip(text):
     phi = parse_formula(text)
     assert parse_formula(print_formula(phi)) == phi
+
+
+@pytest.mark.parametrize("target", [t.name for t in ALL_TARGETS])
+def test_bank_formulas_round_trip_under_the_product_cap(target):
+    for phi in bank(target):
+        assert parse_formula(print_formula(phi)) == phi
 
 
 def test_print_canonical_forms():
