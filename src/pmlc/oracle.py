@@ -6,7 +6,7 @@ and the modal satisfaction relation by direct counting.
 
 Each formula or constraint is turned once into a plan: one small tuple per
 distinct subterm, in ``logic.postorder``, naming its operands by position.
-Plans hold ints and modalities, never formulas, and are cached weakly per
+Plans hold ints and strings, never formulas, and are cached weakly per
 interned formula.  ``models`` walks a plan twice, without recursion: a
 demand pass, parents first, gives each subformula the nodes it is needed
 at, and a truth pass, operands first, gives the nodes where it holds.
@@ -21,7 +21,6 @@ from .graphs import Graph, PointedGraph, neigh
 from .logic import (
     And,
     Modal,
-    Modality,
     Not,
     PeanoAtom,
     PeanoFormula,
@@ -36,8 +35,6 @@ from .logic import (
 # Plan step tags: formula steps, then constraint steps.
 PROP, NOT, AND, MODAL, ATOM, PNOT, PAND = range(7)
 
-_DIRECTION = {Modality.E_IN: "in", Modality.E_OUT: "out"}
-
 _PLANS: "weakref.WeakKeyDictionary[object, list]" = weakref.WeakKeyDictionary()
 
 
@@ -51,11 +48,13 @@ def _plan(phi) -> list:
 
 def _steps(phi) -> list:
     """One step per distinct subterm, in postorder: ``(PROP, index)``,
-    ``(NOT, i)``, ``(AND, i, j)``, ``(MODAL, ((modality, i), ...),
+    ``(NOT, i)``, ``(AND, i, j)``, ``(MODAL, ((way, i), ...),
     constraint_plan)``, ``(ATOM, ((coeff, (variable - 1, ...)), ...),
     bound)``, ``(PNOT, i)`` and ``(PAND, i, j)``, where ``i`` and ``j`` are
-    earlier positions.  A constraint holds no modal node, so ``_plan`` and
-    ``_steps`` nest at most twice."""
+    earlier positions, and ``way`` is a modality's surface name (``id``,
+    ``in``, ``out`` or ``top``, which ``neigh`` takes as its direction).
+    A constraint holds no modal node, so ``_plan`` and ``_steps`` nest at
+    most twice."""
     order = postorder(phi)
     at = {s: i for i, s in enumerate(order)}
     plan = []
@@ -63,7 +62,8 @@ def _steps(phi) -> list:
         if isinstance(s, Prop):
             plan.append((PROP, s.index))
         elif isinstance(s, Modal):
-            positions = tuple(zip(s.modalities, (at[c] for c in s.children)))
+            ways = (pi.surface for pi in s.modalities)
+            positions = tuple(zip(ways, (at[c] for c in s.children)))
             plan.append((MODAL, positions, _plan(s.constraint)))
         elif isinstance(s, PeanoAtom):
             monomials = tuple(
@@ -122,7 +122,7 @@ def models(pg: PointedGraph, phi: PmlFormula) -> bool:
         if step[0] == PROP or not here:
             continue
         if step[0] == MODAL:
-            wants = [(j, _reach(g, pi, here)) for pi, j in step[1]]
+            wants = [(j, _reach(g, way, here)) for way, j in step[1]]
         else:
             wants = [(j, here) for j in step[1:]]
         for j, nodes in wants:
@@ -142,7 +142,7 @@ def models(pg: PointedGraph, phi: PmlFormula) -> bool:
             verdicts: dict = {}
             holds = set()
             for v in here:
-                counts = tuple([_count(g, pi, true[j], v) for pi, j in step[1]])
+                counts = tuple([_count(g, way, true[j], v) for way, j in step[1]])
                 verdict = verdicts.get(counts)
                 if verdict is None:
                     verdict = verdicts[counts] = _holds(step[2], counts)
@@ -152,23 +152,22 @@ def models(pg: PointedGraph, phi: PmlFormula) -> bool:
     return pg.focus in true[-1]
 
 
-def _reach(g: Graph, pi: Modality, nodes):
-    """The nodes ``pi`` ranges over from any of ``nodes``."""
-    if pi is Modality.ID:
+def _reach(g: Graph, way: str, nodes):
+    """The nodes a modality ranges over from any of ``nodes``."""
+    if way == "id":
         return nodes
-    if pi is Modality.TOP:
+    if way == "top":
         return set(range(g.node_count))
-    direction = _DIRECTION[pi]
-    return {u for v in nodes for u in neigh(g, v, direction)}
+    return {u for v in nodes for u in neigh(g, v, way)}
 
 
-def _count(g: Graph, pi: Modality, true: set, v: int) -> int:
-    """How many nodes of ``true`` ``pi`` ranges over from ``v``."""
-    if pi is Modality.TOP:
+def _count(g: Graph, way: str, true: set, v: int) -> int:
+    """How many nodes of ``true`` a modality ranges over from ``v``."""
+    if way == "top":
         return len(true)
-    if pi is Modality.ID:
+    if way == "id":
         return int(v in true)
-    return len(true.intersection(neigh(g, v, _DIRECTION[pi])))
+    return len(true.intersection(neigh(g, v, way)))
 
 
 def all_pointed_graphs(max_nodes: int, colours: int, edges: bool = True):
