@@ -122,11 +122,12 @@ def models(pg: PointedGraph, phi: PmlFormula) -> bool:
         if step[0] == PROP or not here:
             continue
         if step[0] == MODAL:
-            wants = [(j, _reach(g, way, here)) for way, j in step[1]]
+            for way, j in step[1]:
+                nodes = _reach(g, way, here)
+                need[j] = need[j] | nodes if need[j] else nodes
         else:
-            wants = [(j, here) for j in step[1:]]
-        for j, nodes in wants:
-            need[j] = need[j] | nodes if need[j] else nodes
+            for j in step[1:]:
+                need[j] = need[j] | here if need[j] else here
     # Truth, operands first: the needed nodes where each subformula holds.
     labels = g.labels
     true: list = []

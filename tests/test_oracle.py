@@ -6,8 +6,8 @@ import weakref
 
 import pytest
 
-from pmlc.graphs import Graph, PointedGraph, gen_pointed, neigh
 from pmlc import oracle
+from pmlc.graphs import Graph, PointedGraph, gen_pointed, neigh
 from pmlc.logic import (
     And,
     Modal,
