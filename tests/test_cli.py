@@ -85,7 +85,7 @@ def test_formula_at_the_nesting_bound_runs_end_to_end(tmp_path, capsys):
 
 def product_of_sums(k, modality="top"):
     """Eight positions under a product of k copies of x1+...+x8, which
-    expands to C(k+7, 7) monomials: 31,824 at k = 12, 1,562,275 at k = 18."""
+    expands to C(k+7, 7) monomials: 50,388 at k = 12, 480,700 at k = 18."""
     factor = "(" + "+".join(f"x{i}" for i in range(1, 9)) + ")"
     return (
         f"<{','.join([modality] * 8)}>{{{'*'.join([factor] * k)} >= 1}}"
