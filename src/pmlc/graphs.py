@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import random
+import weakref
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -107,6 +108,18 @@ def is_strongly_marked(g: Graph, v: int, colour: int) -> bool:
 # Trace sets and the tree-like class
 
 
+_TRACES: "weakref.WeakKeyDictionary[PmlFormula, tuple]" = weakref.WeakKeyDictionary()
+
+
+def _traces(phi: PmlFormula) -> tuple[tuple[Modality, ...], ...]:
+    """Every trace of ``phi``, in the order of ``logic.traces``, listed once
+    per interned formula: the tree-like check and generator walk them all."""
+    family = _TRACES.get(phi)
+    if family is None:
+        family = _TRACES[phi] = tuple(traces(phi))
+    return family
+
+
 def _reach_maps(
     phi: PmlFormula, pg: PointedGraph, depth: int
 ) -> tuple[
@@ -120,7 +133,7 @@ def _reach_maps(
     parent: dict[tuple[Modality, ...], dict[int, Optional[int]]] = {
         (): {pg.focus: None}
     }
-    for t in traces(phi):  # prefix-closed, so reach[t[:-1]] is already set
+    for t in _traces(phi):  # prefix-closed, so reach[t[:-1]] is already set
         if len(t) > depth:
             break
         # A trace element records which neighbourhood the counting step
@@ -189,7 +202,7 @@ def check_tree_like(
     if not is_marked(g, pg.focus, colour):
         return False, TreeLikeWitness(kind="not_marked")
     reach, parent = _reach_maps(phi, pg, modal_depth(phi))
-    for t in traces(phi):
+    for t in _traces(phi):
         prefix = t[:-1]
         direction = t[-1].surface
         for q in sorted(reach[prefix]):
@@ -425,7 +438,7 @@ def _two_sided_tree(
     side keeps the requested branching only when the other side is absent
     (otherwise converging siblings would share trace sets).
     """
-    fam = list(traces(phi))
+    fam = _traces(phi)
     if any(len(set(t)) > 1 for t in fam):
         return None
     out_depth = max((len(t) for t in fam if t and t[0] is Modality.E_OUT), default=0)

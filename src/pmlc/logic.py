@@ -349,6 +349,16 @@ MAX_NESTING = 256
 MAX_PRODUCT_TERMS = 4096
 
 
+def _times(a: tuple[tuple[int, int], ...], b: tuple[tuple[int, int], ...]):
+    """The product of two monomials given as exponent vectors."""
+    if not a or not b:
+        return a or b
+    exps = dict(a)
+    for x, e in b:
+        exps[x] = exps.get(x, 0) + e
+    return tuple(sorted(exps.items()))
+
+
 class _Parser:
     def __init__(self, text: str) -> None:
         self.tokens = _tokenize(text)
@@ -494,12 +504,17 @@ class _Parser:
         rhs = self.term()
         if any(k and v != 0 for k, v in rhs.items()):
             raise ParseError("comparison right-hand side must be an integer", pos)
-        poly = {k: v for k, v in lhs.items()}
+        poly = {
+            tuple(x for x, e in k for _ in range(e)): v for k, v in lhs.items()
+        }
         return normalize_atom(poly, text, rhs.get((), 0))
 
-    # Terms are polynomials: dict mapping sorted variable tuples to coeffs.
+    # Terms are polynomials: dict mapping exponent vectors, sorted
+    # ((variable, exponent), ...) tuples, to coefficients, so a product's
+    # cost does not grow with the degree.  ``atom`` turns each vector into
+    # the sorted variable tuple that ``normalize_atom`` takes.
 
-    def term(self) -> dict[tuple[int, ...], int]:
+    def term(self) -> dict[tuple[tuple[int, int], ...], int]:
         acc = self.term_mul()
         while self.peek()[1] in ("+", "-"):
             op = self.next()[1]
@@ -508,8 +523,12 @@ class _Parser:
                 acc[k] = acc.get(k, 0) + (v if op == "+" else -v)
         return acc
 
-    def term_mul(self) -> dict[tuple[int, ...], int]:
+    def term_mul(self) -> dict[tuple[tuple[int, int], ...], int]:
         acc = self.term_unary()
+        # One-monomial factors are gathered into one monomial, applied at
+        # the end.  A monomial maps monomials one to one, so every ``len(acc)``
+        # the cap checks is the same as in a left-to-right product.
+        mono, coeff = (), 1
         while self.at("*"):
             pos = self.next()[2]
             rhs = self.term_unary()
@@ -519,15 +538,21 @@ class _Parser:
                     f"the limit of {MAX_PRODUCT_TERMS} products",
                     pos,
                 )
-            out: dict[tuple[int, ...], int] = {}
+            if len(rhs) == 1:
+                ((k2, v2),) = rhs.items()
+                mono, coeff = _times(mono, k2), coeff * v2
+                continue
+            out: dict[tuple[tuple[int, int], ...], int] = {}
             for k1, v1 in acc.items():
                 for k2, v2 in rhs.items():
-                    key = tuple(sorted(k1 + k2))
+                    key = _times(k1, k2)
                     out[key] = out.get(key, 0) + v1 * v2
             acc = out
+        if mono or coeff != 1:
+            acc = {_times(k, mono): v * coeff for k, v in acc.items()}
         return acc
 
-    def term_unary(self) -> dict[tuple[int, ...], int]:
+    def term_unary(self) -> dict[tuple[tuple[int, int], ...], int]:
         kind, text, pos = self.peek()
         if text == "-":
             self.next()
@@ -541,7 +566,7 @@ class _Parser:
             idx = int(text[1:])
             if idx < 1:
                 raise ParseError("count variables are 1-based (x1, x2, ...)", pos)
-            return {(idx,): 1}
+            return {((idx, 1),): 1}
         if text == "(":
             self.next()
             with self.nested(pos):
@@ -606,11 +631,11 @@ def print_peano(psi: PeanoFormula) -> str:
 def _print_polynomial(monomials: tuple[Monomial, ...]) -> str:
     # Positive monomials first so the strict grammar (no unary minus) suffices.
     ordered = sorted(monomials, key=lambda m: m.coeff < 0)
-    text = "" if ordered and ordered[0].coeff > 0 else "0"
+    parts = [] if ordered and ordered[0].coeff > 0 else ["0"]
     for m in ordered:
         body = _print_monomial(abs(m.coeff), m.variables)
-        text = f"{text} {'+' if m.coeff > 0 else '-'} {body}" if text else body
-    return text
+        parts.append(f"{'+' if m.coeff > 0 else '-'} {body}" if parts else body)
+    return " ".join(parts)
 
 
 def _print_monomial(coeff: int, variables: tuple[int, ...]) -> str:

@@ -12,11 +12,11 @@ so the comb input width is always four times the state width.
 The evaluator holds a layer's state as columns, one per state dim: the
 integer numerators of that dim at every node over one denominator.  Each
 comb's lowered program (``Fnn.program``) runs once per layer over all
-nodes; only the dims it reads are aggregated, one column per port dim, and
-each new column is reduced by one gcd.  Values become ``Fraction`` only
-where the API returns them.  Every comb input is nonnegative (labels are
-0/1, states are ReLU outputs, and aggregates are means, sums or maxima of
-those), which the programs' copy lanes need.
+nodes; only the dims it reads are aggregated, one column per port dim,
+and each output column is reduced by one gcd.  Values become ``Fraction``
+only where the API returns them.  Every comb input is nonnegative (labels
+are 0/1, states are ReLU outputs, and aggregates are means, sums or maxima
+of those), which the programs' copy lanes and kernels need.
 
 Aggregation scatters along edges rather than gathering over each node's
 neighbourhood: it visits only a column's nonzero nodes and adds each value
@@ -38,6 +38,7 @@ from __future__ import annotations
 import enum
 import functools
 import random
+import sys
 from dataclasses import dataclass
 from itertools import compress
 from math import lcm
@@ -259,16 +260,12 @@ def _states_after(m: Mpnn, g: Graph, keep_trace: bool) -> list[list[Column]]:
         colours = {i % m.colours for i in m.layers[0].comb.program.reads}
     cols = {c: ([g.labels[v][c] for v in nodes], 1) for c in colours}
     tables = [list(cols.values())]
-    ins = [neigh(g, v, "in") for v in nodes]
-    outs = [neigh(g, v, "out") for v in nodes]
     # Each port as (members, group count, mean scale): node u's value goes
     # to the nodes it has edges into on the in port, to those it has edges
-    # from on the out port, and to the one group of the global port.
-    hoods = (
-        (outs, n, mean_scale(ins)),
-        (ins, n, mean_scale(outs)),
-        (((0,),) * n, 1, mean_scale((nodes,))),
-    )
+    # from on the out port, and to the one group of the global port.  The
+    # in and out ports are built on their first read; the global networks
+    # never read them.
+    hoods = [None, None, (((0,),) * n, 1, mean_scale((nodes,)))]
     for layer in m.layers:
         aggregators = (layer.loc_in, layer.loc_out, layer.glob)
         inputs = []
@@ -277,6 +274,10 @@ def _states_after(m: Mpnn, g: Graph, keep_trace: bool) -> list[list[Column]]:
             if port == 0:
                 inputs.append(cols[dim])
                 continue
+            if hoods[port - 1] is None:
+                ins = [neigh(g, v, "in") for v in nodes]
+                outs = [neigh(g, v, "out") for v in nodes]
+                hoods[:2] = (outs, n, mean_scale(ins)), (ins, n, mean_scale(outs))
             members, width, scale = hoods[port - 1]
             nums, den = aggregate(
                 aggregators[port - 1], cols[dim], members, width, scale
@@ -512,7 +513,8 @@ def parse_mpnn(text: str) -> Mpnn:
             nxt = r.peek()
             if nxt is not None and nxt.startswith("dims"):
                 saw_dims = True
-                dim_rows.append(tuple(r.next().split()[1:]))
+                # Networks repeat a few names thousands of times; each is kept once.
+                dim_rows.append(tuple(map(sys.intern, r.next().split()[1:])))
             elif saw_dims:
                 raise MpnnFormatError("dims rows must cover all layers or none")
             fnn_layers = _int_field(r.next("fnn"), "fnn")

@@ -9,12 +9,14 @@ The building blocks:
 
 * ``FnnLayer`` / ``Fnn`` — sparse neurons ``relu(bias + sum w_i x_i)``.
 * ``Program`` — an Fnn lowered once (cached as ``Fnn.program``) to integer
-  rows that run once over the columns of all nodes, one denominator per
-  column.  Identity carries become copy lanes, neurons that feed no output
-  are dropped, neurons with the same bias and terms share one row, and
-  the program records which inputs it reads.
-  ``fnn_eval`` (on one-node columns) and the message-passing evaluator
-  both run it.
+  rows over the columns of all nodes, one denominator per column.
+  Identity carries become copy lanes, neurons that feed no output are
+  dropped, neurons with the same bias and terms share one row, the
+  program records which inputs it reads, and equal combs share one
+  program.  It runs as its kernel: a generated function, built on first
+  use and shared by equal programs, that walks the nodes once and runs
+  every row at each node as straight-line integer code.  ``fnn_eval`` (on
+  one-node columns) and the message-passing evaluator both run it.
 * ``Circuit`` — a named-port builder that assembles neurons into one Fnn,
   padding depth mismatches with identity ReLUs (sound because every
   routed value is nonnegative).  The Fnn's last layer is the output
@@ -27,12 +29,16 @@ The building blocks:
 
 from __future__ import annotations
 
+import builtins
 import functools
-from itertools import repeat
+import sys
+import weakref
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
+from types import CodeType, FunctionType
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 Rational = Fraction
 RationalLike = Union[int, Rational]
@@ -121,50 +127,235 @@ class Program:
 
     A row ``(bias, ((r, c), ...), scale)`` is the neuron
     ``relu(bias/scale + sum (c/scale) * x_r)``, with ``scale`` the least
-    static scale that makes its coefficients integers.  It brings its input
-    columns to the lcm ``D`` of their denominators and computes
-    ``relu(bias*D + sum c*(D/d_r)*nums_r)`` at every node: ReLU is
-    positively homogeneous, so that is the neuron's value times
-    ``D * scale``, and the new column is reduced by one gcd.  Output ``j``
-    is register ``outputs[j]`` itself, so a copy lane costs nothing and
-    hands on its source column object; no column is changed in place.
+    static scale that makes its coefficients integers.  Output ``j`` is
+    register ``outputs[j]`` itself, so a copy lane costs nothing and hands
+    on its source column object; no column is changed in place.
+
+    ``run`` calls the kernel (see ``_segment``).  Per call it brings the
+    input columns to one denominator ``D``, the lcm of theirs; ReLU is
+    positively homogeneous, so every row holds its value times ``D`` and
+    a static scale in integers, with no division.  Only the row outputs
+    are reduced, by one gcd each, so every output column is in lowest
+    terms and the same as a row-by-row evaluation would give.
     """
 
     reads: tuple[int, ...]
     rows: tuple[tuple[int, tuple[tuple[int, int], ...], int], ...]
     outputs: tuple[int, ...]
 
+    @functools.cached_property
+    def kernel(self) -> Callable[[Sequence[Column], int], list[Column]]:
+        """The generated function that runs the program, built on first
+        use and shared by every program with the same input count, rows
+        and outputs."""
+        key = (len(self.reads), self.rows, self.outputs)
+        kernel = _KERNELS.get(key)
+        if kernel is None:
+            kernel = _KERNELS[key] = _kernel(*key)
+        return kernel
+
     def run(self, cols: Sequence[Column], n: int) -> list[Column]:
         """The output columns for input columns ``cols`` (one per entry of
         ``reads``, each with ``n`` numerators, all >= 0)."""
-        regs = list(cols)
-        for bias, terms, scale in self.rows:
-            den = 1
-            for r, _c in terms:
-                if den % regs[r][1]:
-                    den = lcm(den, regs[r][1])
-            # The bias enters with the first term's pass and the ReLU with
-            # the last term's; a row with no terms is relu(bias).
-            acc = repeat(bias * den, n)
-            for r, c in terms[:-1]:
-                xs, d = regs[r]
-                c *= den // d
-                acc = [a + c * x for a, x in zip(acc, xs)]
-            if terms:
-                r, c = terms[-1]
-                xs, d = regs[r]
-                c *= den // d
-                nums = [y if (y := a + c * x) > 0 else 0 for a, x in zip(acc, xs)]
+        return self.kernel(cols, n)
+
+
+# Rows per generated function and terms per generated statement: compile
+# time and memory stay linear in a program's size, and no expression nests
+# deep enough to exhaust the compiler's stack.
+SEGMENT_ROWS = 256
+STATEMENT_TERMS = 64
+
+# Programs by their fields, and kernels by (input count, rows, outputs), each
+# held only while a network uses it: equal combs lower to one program.
+_PROGRAMS: "weakref.WeakValueDictionary[tuple, Program]" = weakref.WeakValueDictionary()
+_KERNELS: "weakref.WeakValueDictionary[tuple, Callable]" = weakref.WeakValueDictionary()
+
+
+def _kernel(width: int, rows, outputs) -> Callable[[Sequence[Column], int], list[Column]]:
+    """The kernel of a program with ``width`` inputs (see ``Program``).
+
+    The rows are cut into segments of at most ``SEGMENT_ROWS``, each one
+    generated function from columns to columns.  A segment hands on, as
+    reduced columns, exactly the registers that a later row reads or that
+    are outputs, so the next segment takes them as its inputs.
+    """
+    segments = [rows[i:i + SEGMENT_ROWS] for i in range(0, len(rows), SEGMENT_ROWS)]
+    segments = segments or [()]
+    handed = [tuple(outputs)]  # each segment's outputs, last segment first
+    need = set(outputs)
+    base = width + len(rows)
+    for segment in reversed(segments[1:]):
+        base -= len(segment)
+        need = {r for r in need if r < base}
+        need.update(r for _b, terms, _s in segment for r, _c in terms if r < base)
+        handed.append(tuple(sorted(need)))
+    handed.reverse()
+    steps = []
+    ins, base = tuple(range(width)), width
+    for segment, outs in zip(segments, handed):
+        steps.append(_segment(ins, base, segment, outs))
+        ins, base = outs, base + len(segment)
+    if len(steps) == 1:
+        return steps[0]
+
+    def run(cols: Sequence[Column], n: int) -> list[Column]:
+        for step in steps:
+            cols = step(cols, n)
+        return cols
+
+    return run
+
+
+def _reduced(nums: list[int], den: int) -> Column:
+    """The column ``nums / den`` divided by ``gcd(den, *nums)``."""
+    g = gcd(den, *nums)
+    if g == 1:
+        return nums, den
+    return [x // g for x in nums], den // g
+
+
+# The globals of every kernel: only the builtins.
+_KERNEL_GLOBALS = {"__builtins__": builtins}
+
+
+def _segment(ins: tuple[int, ...], base: int, rows, outs: tuple[int, ...]):
+    """One generated function: the input columns hold registers ``ins``,
+    ``rows`` write registers ``base, base+1, ...``, and it returns the
+    columns of registers ``outs``.
+
+    Per call it brings the columns its rows read to one denominator ``D``
+    (the lcm of theirs): ``D // d`` is folded into the coefficient of an
+    input that one term reads, and applied once per node to an input that
+    several terms read.  Every register has a static scale: 1 for an
+    input, and for a row the lcm of its operands' scales times its own
+    scale.  A row holds its value times ``D`` times its scale, in integers
+    and never reduced, and the rows run one node at a time as
+    straight-line code.  Every value is nonnegative, so a row with no
+    positive term or bias is 0, and one with no negative term or bias
+    needs no ReLU.  Only output rows are reduced, by one gcd each; an
+    input named in ``outs`` is returned as its own column object.
+
+    Numbers from the program enter as default arguments of the generated
+    function, never as source text, so no integer is ever formatted.
+    """
+    consts: dict[int, str] = {}  # constant -> its default argument
+
+    def const(value: int) -> str:
+        name = consts.get(value)
+        if name is None:
+            name = consts[value] = f"K{len(consts)}"
+        return name
+
+    pos = {r: i for i, r in enumerate(ins)}
+    read = {pos[r] for _b, terms, _s in rows for r, _c in terms if r < base}
+    used = sorted(read)
+    handed = {pos[r] for r in outs if r < base}
+    returned = set(outs)
+    # Per call: the columns, D, and each input's multiplier D // d.  An
+    # input the rows read is unpacked; one handed on keeps its column name.
+    unpack = "".join(
+        f"(n{i}, d{i}), " if i in read and i not in handed else f"c{i}, "
+        for i in range(len(ins))
+    )
+    call = [f"({unpack}) = cols"] if ins else []
+    call += [f"n{i}, d{i} = c{i}" for i in used if i in handed]
+    dens = ", ".join(f"d{i}" for i in used)
+    call.append(f"D = lcm({dens})" if len(used) > 1 else f"D = {dens or 1}")
+    call += [f"m{i} = D // d{i}" for i in used]
+    named: dict[tuple, str] = {}  # (constant, multiplier) -> per-call name
+
+    def per_call(value: int, by: str) -> str:
+        """The name of ``value * by``, computed once per call."""
+        if value == 1:
+            return by
+        name = named.get((value, by))
+        if name is None:
+            name = named[value, by] = f"k{len(named)}"
+            call.append(f"{name} = {const(value)} * {by}")
+        return name
+
+    # An input that several terms read is scaled to D once per node.
+    uses = Counter(pos[s] for _b, terms, _s in rows for s, _c in terms if s < base)
+    node: list[str] = []
+    reduced: dict[int, str] = {}  # output row -> its reduced column
+    read_here = {s for _b, terms, _s in rows for s, _c in terms if s >= base}
+    scale = dict.fromkeys(ins, 1)
+    for k, (bias, terms, row_scale) in enumerate(rows):
+        r = base + k
+        top = lcm(*(scale[s] for s, _c in terms))
+        scale[r] = top * row_scale
+        signed: list[tuple[int, str]] = []  # (sign, term)
+        if bias:
+            signed.append((bias, per_call(abs(bias * top), "D")))
+        for s, c in terms:
+            if s < base and uses[pos[s]] == 1:
+                signed.append((c, f"{per_call(abs(c * top), f'm{pos[s]}')} * a{pos[s]}"))
+            elif s < base:
+                w = abs(c) * top
+                signed.append((c, f"b{pos[s]}" if w == 1 else f"{const(w)} * b{pos[s]}"))
             else:
-                nums = [bias if bias > 0 else 0] * n
-            den *= scale
-            if den > 1:
-                g = gcd(den, *nums)
-                if g > 1:
-                    nums = [x // g for x in nums]
-                    den //= g
-            regs.append((nums, den))
-        return [regs[r] for r in self.outputs]
+                w = abs(c) * top // scale[s]
+                signed.append((c, f"x{s}" if w == 1 else f"{const(w)} * x{s}"))
+        plus = [x for c, x in signed if c > 0]
+        minus = [x for c, x in signed if c < 0]
+        pieces = [" + " + x for x in plus] + [" - " + x for x in minus]
+        stored = r in returned
+        if stored:
+            call.append(f"o{r} = [0] * n")
+            den = "D" if scale[r] == 1 else per_call(scale[r], "D")
+            reduced[r] = f"R(o{r}, {den})"
+        if not plus:
+            # never positive: the value is 0, and an output stays all 0
+            if r in read_here:
+                node.append(f"x{r} = 0")
+        elif stored and r not in read_here and not minus and len(pieces) <= STATEMENT_TERMS:
+            node.append(f"o{r}[v] = {''.join(pieces)[3:]}")
+        else:
+            for j in range(0, len(pieces), STATEMENT_TERMS):
+                expr = "".join(pieces[j:j + STATEMENT_TERMS])
+                node.append(f"x{r} {'+=' if j else '='} {expr[1:] if j else expr[3:]}")
+            if minus and r not in read_here:
+                node.append(f"if x{r} > 0: o{r}[v] = x{r}")
+            else:
+                if minus:
+                    node.append(f"if x{r} < 0: x{r} = 0")
+                if stored:
+                    node.append(f"o{r}[v] = x{r}")
+    if node:
+        node[:0] = [f"b{i} = m{i} * a{i}" for i in used if uses[i] > 1]
+        if not used:
+            head = "for v in range(n):"
+        elif len(used) == 1:
+            head = f"for v, a{used[0]} in enumerate(n{used[0]}):"
+        else:
+            head = (f"for v, ({', '.join(f'a{i}' for i in used)}) in "
+                    f"enumerate(zip({', '.join(f'n{i}' for i in used)})):")
+        call.append(head)
+        call += ["    " + line for line in node]
+    result = ", ".join(f"c{pos[r]}" if r < base else reduced[r] for r in outs)
+    source = "\n".join([
+        f"def kernel({', '.join(['cols', 'n', 'lcm', 'R', *consts.values()])}):",
+        *("    " + line for line in call),
+        f"    return [{result}]",
+    ])
+    (code,) = [c for c in compile(source, "<pmlc.net kernel>", "exec").co_consts
+               if isinstance(c, CodeType)]
+    if sys.version_info >= (3, 11):
+        code = _without_positions(code)
+    return FunctionType(code, _KERNEL_GLOBALS, "kernel", (lcm, _reduced, *consts))
+
+
+def _without_positions(code: CodeType) -> CodeType:
+    """``code`` with every instruction on its first line and no columns.
+    A kernel's source is never kept, so positions would only cost memory,
+    about a third of each kernel.  The table is CPython's since 3.11: an
+    entry of kind 13, "no column", with line delta 0 per eight code units."""
+    units = len(code.co_code) // 2
+    table = b"\xef\x00" * (units // 8)
+    if units % 8:
+        table += bytes([0xE8 | (units % 8 - 1), 0])
+    return code.replace(co_linetable=table)
 
 
 def backward_live(stages, need) -> tuple[list[list[int]], set[int]]:
@@ -185,6 +376,23 @@ def backward_live(stages, need) -> tuple[list[list[int]], set[int]]:
     return live, need
 
 
+INTERN_BOUND = 1 << 14
+
+
+def interned(table: dict, value: tuple) -> tuple:
+    """The value in ``table`` equal to ``value``, entered if there is none,
+    so that equal copies are one object.  A table holds one kind of value
+    and is emptied when it reaches ``INTERN_BOUND`` entries."""
+    if len(table) >= INTERN_BOUND:
+        table.clear()
+    return table.setdefault(value, value)
+
+
+# The terms, term lists and rows that lowering builds: the combs of a bank
+# repeat a few thousand of them tens of thousands of times.
+_LOWERED: dict[tuple, tuple] = {}
+
+
 def lower(n: Fnn) -> Program:
     """Lower ``n`` to a Program (see there).
 
@@ -202,7 +410,6 @@ def lower(n: Fnn) -> Program:
     reg = {i: r for r, i in enumerate(reads)}
     rows = []
     written: dict[tuple, int] = {}  # row -> the register it writes
-    pairs: dict[tuple[int, int], tuple[int, int]] = {}  # one object per term
     for layer, alive in zip(n.layers, live):
         nxt = {}
         for j in alive:
@@ -217,16 +424,20 @@ def lower(n: Fnn) -> Program:
                 (nxt[j],) = merged  # copy lane
                 continue
             f = lcm(bias.denominator, *(w.denominator for w in merged.values()))
-            terms = tuple(pairs.setdefault(t, t) for t in sorted(
+            terms = interned(_LOWERED, tuple(interned(_LOWERED, t) for t in sorted(
                 (r, int(w * f)) for r, w in merged.items()
-            ))
-            row = (int(bias * f), terms, f)
+            )))
+            row = interned(_LOWERED, (int(bias * f), terms, f))
             if row not in written:
                 rows.append(row)
                 written[row] = len(reads) + len(rows) - 1
             nxt[j] = written[row]
         reg = nxt
-    return Program(reads, tuple(rows), tuple(reg[j] for j in range(n.output_dim)))
+    key = (reads, tuple(rows), tuple(reg[j] for j in range(n.output_dim)))
+    program = _PROGRAMS.get(key)
+    if program is None:
+        program = _PROGRAMS[key] = Program(*key)
+    return program
 
 
 def fnn_eval(n: Fnn, inputs: Sequence[RationalLike]) -> list[Rational]:

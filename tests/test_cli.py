@@ -106,6 +106,17 @@ def test_parse_rejects_a_runaway_product(tmp_path, capsys):
     assert main(["parse", f]) == 0
 
 
+def test_parse_multiplies_a_long_run_of_variables_in_linear_time(tmp_path, capsys):
+    # 2,080 monomials, each multiplied by x1 400 times: degree 402.
+    square = "*".join(["(" + "+".join(f"x{i}" for i in range(1, 65)) + ")"] * 2)
+    positions = ",".join(["top"] * 64), ",".join(["p0"] * 64)
+    f = write(tmp_path, "run.pml", f"<{positions[0]}>{{{square}{'*x1' * 400} >= 1}}({positions[1]})")
+    start = time.perf_counter()
+    assert main(["parse", f]) == 0
+    assert time.perf_counter() - start < 1
+    assert "degree 402" in capsys.readouterr().out.splitlines()
+
+
 def test_cli_defaults_are_the_library_defaults():
     parser = build_parser()
     compiled_args = parser.parse_args(["compile", "f", "--target", "global-shallow"])

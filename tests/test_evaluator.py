@@ -6,14 +6,20 @@ programs behind ``mpnn_eval``, ``mpnn_eval_traced``, ``judge`` and
 ``fnn_eval`` must agree with it exactly.
 """
 
+import gc
 import random
+import traceback
+import weakref
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
+from pmlc.cli import main
 from pmlc.compiler import ALL_TARGETS, compile
 from pmlc.graphs import (
     Graph,
+    PointedGraph,
     class_instance,
     gen_marked,
     gen_pointed,
@@ -21,6 +27,7 @@ from pmlc.graphs import (
     gen_strongly_marked,
     gen_tree_like,
     neigh,
+    print_graph,
 )
 from pmlc.mpnn import (
     Aggregator,
@@ -29,6 +36,7 @@ from pmlc.mpnn import (
     mpnn_eval_traced,
     random_mpnn,
 )
+import pmlc.net as net_module
 from pmlc.net import Fnn, FnnLayer, fnn_eval, rat
 
 from targets import bank
@@ -103,6 +111,19 @@ def test_each_comb_runs_once_per_layer_and_each_port_dim_is_aggregated_once(monk
     )
     assert calls == {"fnn_eval": len(net.layers), "aggregate": ported}
     assert 0 < ported < sum(3 * layer.in_dim for layer in net.layers)
+
+
+@pytest.mark.parametrize("name, reads_neighbours", [("global-shallow", False), ("local-mixed-sum", True)])
+def test_neighbour_lists_are_built_only_for_networks_that_read_them(monkeypatch, name, reads_neighbours):
+    import pmlc.mpnn as mpnn
+
+    calls = []
+    monkeypatch.setattr(mpnn, "neigh", lambda *args: calls.append(args) or neigh(*args))
+    target = next(t for t in ALL_TARGETS if t.name == name)
+    net, _rep = compile(bank(name)[0], target)
+    g = gen_pointed(3, 12, net.colours, 0.3).graph
+    assert mpnn_eval(net, g) == reference_eval(net, g)[-1]
+    assert bool(calls) == reads_neighbours
 
 
 def test_random_networks_match_reference():
@@ -183,7 +204,7 @@ def test_program_is_built_once_per_network():
     assert net == _fnn((1, [(1, [(0, 2)])]))
 
 
-def test_each_row_is_reduced_by_one_gcd():
+def test_each_output_row_is_reduced_by_one_gcd():
     net = _fnn((2, [(0, [(0, 2)]), (0, [(0, 1), (1, 1)])]))
     prog = net.program
     # 2x on 6/12 and 9/12 is 12/12 and 18/12: one gcd of 6 over the column.
@@ -269,3 +290,151 @@ def test_bank_networks_match_reference_on_large_class_members(target):
         verdict = judge(net, pg)
         assert verdict.value == want[-1][pg.focus][-1]
         assert verdict.kind != "malformed", target.name
+
+
+# ---------------------------------------------------------------------------
+# Kernels: the generated code behind Program.run
+
+
+WEIGHTS = (-2, -1, rat(-1, 2), rat(-2, 3), rat(1, 3), rat(1, 2), 1, rat(3, 2), 2, 3)
+BIASES = (0, 0, 1, -1, rat(1, 2), rat(-3, 4), rat(5, 3))
+
+
+def _random_fnn(rng):
+    """Up to four layers mixing every kind of neuron the lowering treats
+    apart: identity carries (copy lanes), duplicates (shared rows), neurons
+    without weights (term-less rows), and rational weights (row scales)."""
+    width = rng.randint(1, 5)
+    layers = []
+    for _ in range(rng.randint(1, 4)):
+        neurons = []
+        for _ in range(rng.randint(1, 5)):
+            kind = rng.random()
+            if kind < 0.25:
+                neurons.append((0, [(rng.randrange(width), 1)]))
+            elif kind < 0.35 and neurons:
+                neurons.append(rng.choice(neurons))
+            elif kind < 0.45:
+                neurons.append((rng.choice(BIASES), []))
+            else:
+                reads = rng.sample(range(width), rng.randint(1, width))
+                neurons.append((rng.choice(BIASES), [(i, rng.choice(WEIGHTS)) for i in reads]))
+        layers.append((width, neurons))
+        width = len(neurons)
+    return _fnn(*layers)
+
+
+def _fraction_eval(net, values):
+    for fl in net.layers:
+        values = [max(bias + sum((w * values[i] for i, w in weights), Fraction(0)), Fraction(0))
+                  for bias, weights in fl.neurons]
+    return values
+
+
+@pytest.mark.parametrize("segment_rows", [None, 1, 3])
+def test_kernels_match_a_fraction_evaluation_on_random_fnns(monkeypatch, segment_rows):
+    if segment_rows is not None:
+        # Short segments: every program runs as a chain of generated functions.
+        monkeypatch.setattr(net_module, "SEGMENT_ROWS", segment_rows)
+    rng = random.Random(f"kernel-differential-{segment_rows}")
+    for case in range(400):
+        net = _random_fnn(rng)
+        prog = net.program
+        n = case % 6  # 0 and 1 nodes included
+        # Input columns with unrelated, unreduced denominators.
+        cols = [([rng.choice([0, 0, 1, 2, 3, 5, 8]) for _ in range(n)], rng.choice([1, 2, 3, 4, 6, 9, 10]))
+                for _ in prog.reads]
+        out = prog.run(cols, n)
+        assert len(out) == net.output_dim, case
+        for v in range(n):
+            values = [Fraction(0)] * net.input_dim
+            for i, (nums, den) in zip(prog.reads, cols):
+                values[i] = Fraction(nums[v], den)
+            want = _fraction_eval(net, values)
+            assert [Fraction(nums[v], den) for nums, den in out] == want, (case, v)
+        for r, col in zip(prog.outputs, out):
+            if r < len(prog.reads):
+                assert col is cols[r], case  # a copy lane hands on its column
+            else:
+                nums, den = col
+                assert len(nums) == n and gcd(den, *nums) == 1, case
+
+
+def test_equal_programs_share_one_kernel_that_lives_only_with_them():
+    a = _fnn((3, [(1, [(0, 2), (2, -1)])]))
+    b = _fnn((3, [(1, [(0, 2), (2, -1)])]))
+    # Another comb whose program reads inputs 1 and 2 in the same rows.
+    c = _fnn((3, [(1, [(1, 2), (2, -1)])]))
+    assert a.program is b.program
+    assert c.program != a.program
+    assert c.program.kernel is a.program.kernel
+    assert c.program.run([([1, 2], 1), ([0, 6], 3)], 2) == [([3, 3], 1)]
+    kernel = weakref.ref(a.program.kernel)
+    del a, b, c
+    gc.collect()
+    assert kernel() is None
+
+
+def test_an_error_inside_a_kernel_has_a_readable_traceback():
+    net = _fnn((2, [(1, [(0, 2), (1, -1)])]))
+    with pytest.raises(ValueError) as info:
+        net.program.run([([1], 1)], 1)  # one column short
+    # Test runners read the line number of every frame.
+    frame = traceback.extract_tb(info.value.__traceback__)[-1]
+    assert frame.filename == "<pmlc.net kernel>" and isinstance(frame.lineno, int)
+
+
+def test_a_weight_of_5000_digits_is_never_formatted():
+    big = rat(10 ** 5000 + 1, 3)
+    net = _fnn((2, [(0, [(0, big), (1, -1)])]))
+    assert fnn_eval(net, [2, 1]) == [2 * big - 1]
+
+
+def _write_network(tmp_path, layers):
+    """A one-colour, one-layer network file whose comb has ``layers``, each
+    a list of neuron lines; the comb reads the label on input 0."""
+    lines = ["mpnn", "colours 1", "certainty 0", "inverted 0", "class any",
+             "markcolour -", "formula -", "layers 1", "layer 0 sum sum sum 1 1",
+             f"fnn {len(layers)}"]
+    width = 4
+    for neurons in layers:
+        lines.append(f"fnnlayer {width} {len(neurons)}")
+        lines += neurons
+        width = len(neurons)
+    path = tmp_path / "wide.mpnn"
+    path.write_text("\n".join(lines + ["end"]) + "\n")
+    return str(path)
+
+
+def _value_line(capsys):
+    out = capsys.readouterr()
+    assert "RecursionError" not in out.err
+    return out.out.splitlines()[-1]
+
+
+@pytest.fixture
+def one_node_graph(tmp_path):
+    path = tmp_path / "one.graph"
+    path.write_text(print_graph(PointedGraph(Graph(1, 1, frozenset(), ((1,),)), 0)))
+    return str(path)
+
+
+def test_eval_runs_a_neuron_of_10000_terms(tmp_path, capsys, one_node_graph):
+    width = 10_000
+    # 10,000 distinct rows x + k, then one neuron reading all of them.
+    weights = [(k % 5 - 2, k % 7 + 1) for k in range(width)]
+    first = [f"neuron {k}/1 0:1/1" for k in range(width)]
+    last = ["neuron -3/1 " + " ".join(f"{k}:{p}/{q}" for k, (p, q) in enumerate(weights))]
+    net = _write_network(tmp_path, [first, last])
+    want = max(-3 + sum(Fraction(p, q) * (k + 1) for k, (p, q) in enumerate(weights)), 0)
+    assert main(["eval", net, one_node_graph]) == 0
+    assert _value_line(capsys) == f"value {want}"
+
+
+def test_eval_runs_a_comb_of_5000_stages(tmp_path, capsys, one_node_graph):
+    # x + 1/2, then y - 1/2, 2,500 times over: row scales of 2 at every stage.
+    stages = [["neuron 1/2 0:1/1"] if k % 2 == 0 else ["neuron -1/2 0:1/1"] for k in range(5_000)]
+    stages.append(["neuron 0/1 0:1/3"])
+    net = _write_network(tmp_path, stages)
+    assert main(["eval", net, one_node_graph]) == 0
+    assert _value_line(capsys) == f"value {Fraction(1, 3)}"

@@ -307,3 +307,23 @@ def test_generators_deterministic():
     a = gen_tree_like(3, OUT_OUT, 2, 2, False)
     b = gen_tree_like(3, OUT_OUT, 2, 2, False)
     assert a == b
+
+
+def test_the_tree_like_class_lists_a_formula_s_traces_once(monkeypatch):
+    import pmlc.graphs as graphs
+
+    calls = []
+    traces = graphs.traces
+
+    def counting(phi):
+        calls.append(phi)
+        return traces(phi)
+
+    monkeypatch.setattr(graphs, "traces", counting)
+    # A formula no other test builds, so no cached trace list exists yet.
+    phi = parse_formula("<out,in>{x1 + x2 >= 2}(<out>{x1 >= 3}(p1), p0)")
+    pg = gen_tree_like(5, phi, 2, 3, False)
+    for _ in range(3):
+        ok, witness = check_tree_like(phi, pg, 2)
+        assert ok, witness
+    assert calls == [phi]

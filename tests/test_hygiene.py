@@ -6,7 +6,8 @@ never uses.  No function in ``pmlc.compiler`` or ``pmlc.oracle`` calls
 itself, and in ``pmlc.logic`` only the parser's methods do, which
 ``MAX_NESTING`` bounds: every other formula walk goes through the
 iterative ``postorder`` or an explicit stack, so no input ends in
-unbounded recursion.
+unbounded recursion.  Only ``pmlc.net`` runs generated code (its
+kernels): no other module calls ``exec``, ``eval`` or ``compile``.
 """
 
 import ast
@@ -102,3 +103,23 @@ def test_no_recursive_formula_walks(path):
         assert "_Parser.phi" in calls
         calls = [c for c in calls if not c.startswith("_Parser.")]
     assert not calls, f"{path.name}: recursive {calls}"
+
+
+def _code_runners(tree: ast.Module) -> list:
+    """Lines that call the builtins ``exec``, ``eval`` or ``compile``."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in ("exec", "eval", "compile")
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
+def test_only_the_kernels_run_generated_code(path):
+    lines = _code_runners(_tree(path))
+    if path == SRC / "net.py":
+        assert lines, "the kernel builder no longer compiles code"
+    else:
+        assert not lines, f"{path.name}: exec, eval or compile at lines {lines}"
