@@ -160,42 +160,63 @@ class Program:
         return self.kernel(cols, n)
 
 
-# Rows per generated function and terms per generated statement: compile
-# time and memory stay linear in a program's size, and no expression nests
-# deep enough to exhaust the compiler's stack.
+# Rows per generated function, terms per generated statement, and bits a
+# row's static scale may exceed its own by: compile time and memory stay
+# linear in a program's size, no expression nests deep enough to exhaust
+# the compiler's stack, and no register grows far past its reduced value.
 SEGMENT_ROWS = 256
 STATEMENT_TERMS = 64
+SCALE_BITS = 64
 
-# Programs by their fields, and kernels by (input count, rows, outputs), each
-# held only while a network uses it: equal combs lower to one program.
+# Weak tables, so each entry lives only while a network uses it.  Programs
+# by their fields: equal combs lower to one program.  Each row of a live
+# program, mapped to one program that holds it: lowering reuses that row
+# object, as the combs of a bank repeat a few thousand rows tens of
+# thousands of times.  Kernels by (input count, rows, outputs).
 _PROGRAMS: "weakref.WeakValueDictionary[tuple, Program]" = weakref.WeakValueDictionary()
+_ROW_OWNERS: "weakref.WeakValueDictionary[tuple, Program]" = weakref.WeakValueDictionary()
 _KERNELS: "weakref.WeakValueDictionary[tuple, Callable]" = weakref.WeakValueDictionary()
 
 
 def _kernel(width: int, rows, outputs) -> Callable[[Sequence[Column], int], list[Column]]:
     """The kernel of a program with ``width`` inputs (see ``Program``).
 
-    The rows are cut into segments of at most ``SEGMENT_ROWS``, each one
-    generated function from columns to columns.  A segment hands on, as
-    reduced columns, exactly the registers that a later row reads or that
-    are outputs, so the next segment takes them as its inputs.
+    Only the rows an output needs run.  They are cut into segments, each
+    one generated function from columns to columns: a segment holds at
+    most ``SEGMENT_ROWS`` of them, and a row whose static scale there
+    (see ``_scale``) would be more than ``SCALE_BITS`` bits longer than its
+    own row scale starts a new one.  A segment hands on, as reduced
+    columns, exactly the registers that a later row reads or that are
+    outputs, so the next segment takes them as its inputs, at scale 1.
     """
-    segments = [rows[i:i + SEGMENT_ROWS] for i in range(0, len(rows), SEGMENT_ROWS)]
-    segments = segments or [()]
+    live = set(outputs)
+    for k in reversed(range(len(rows))):
+        if width + k in live:
+            live.update(r for r, _c in rows[k][1])
+    # Each segment as (its first row, {its live rows' registers: scale}).
+    segments: list[tuple[int, dict[int, int]]] = [(0, {})]
+    for k, row in enumerate(rows):
+        if width + k in live:
+            scale = segments[-1][1]
+            r_scale = _scale(row, scale)
+            grown = r_scale.bit_length() - row[2].bit_length() > SCALE_BITS
+            if len(scale) == SEGMENT_ROWS or grown:
+                segments.append((k, {}))
+                scale, r_scale = segments[-1][1], _scale(row, {})
+            scale[width + k] = r_scale
     handed = [tuple(outputs)]  # each segment's outputs, last segment first
     need = set(outputs)
-    base = width + len(rows)
-    for segment in reversed(segments[1:]):
-        base -= len(segment)
-        need = {r for r in need if r < base}
-        need.update(r for _b, terms, _s in segment for r, _c in terms if r < base)
+    for start, scale in reversed(segments[1:]):
+        need = {r for r in need if r < width + start}
+        need.update(s for r in scale for s, _c in rows[r - width][1] if s < width + start)
         handed.append(tuple(sorted(need)))
     handed.reverse()
     steps = []
-    ins, base = tuple(range(width)), width
-    for segment, outs in zip(segments, handed):
-        steps.append(_segment(ins, base, segment, outs))
-        ins, base = outs, base + len(segment)
+    ins = tuple(range(width))
+    ends = [start for start, _s in segments[1:]] + [len(rows)]
+    for (start, scale), end, outs in zip(segments, ends, handed):
+        steps.append(_segment(ins, width + start, rows[start:end], scale, outs))
+        ins = outs
     if len(steps) == 1:
         return steps[0]
 
@@ -205,6 +226,19 @@ def _kernel(width: int, rows, outputs) -> Callable[[Sequence[Column], int], list
         return cols
 
     return run
+
+
+def _scale(row, scale: dict[int, int]) -> int:
+    """The static scale of ``row`` over registers at ``scale`` (1 where
+    absent): the least integer ``t`` that makes ``t * bias / f`` and, for
+    each term ``(s, c)``, ``t * c / (f * scale[s])`` integers, ``f`` being
+    the row's own scale."""
+    bias, terms, f = row
+    dens = [f // gcd(bias, f)]
+    for s, c in terms:
+        d = f * scale.get(s, 1)
+        dens.append(d // gcd(c, d))
+    return lcm(*dens)
 
 
 def _reduced(nums: list[int], den: int) -> Column:
@@ -219,20 +253,21 @@ def _reduced(nums: list[int], den: int) -> Column:
 _KERNEL_GLOBALS = {"__builtins__": builtins}
 
 
-def _segment(ins: tuple[int, ...], base: int, rows, outs: tuple[int, ...]):
+def _segment(ins: tuple[int, ...], base: int, rows, scale: dict[int, int], outs: tuple[int, ...]):
     """One generated function: the input columns hold registers ``ins``,
     ``rows`` write registers ``base, base+1, ...``, and it returns the
-    columns of registers ``outs``.
+    columns of registers ``outs``.  Only the rows in ``scale`` run: each
+    one feeds a later row or is in ``outs``.
 
     Per call it brings the columns its rows read to one denominator ``D``
     (the lcm of theirs): ``D // d`` is folded into the coefficient of an
     input that one term reads, and applied once per node to an input that
     several terms read.  Every register has a static scale: 1 for an
-    input, and for a row the lcm of its operands' scales times its own
-    scale.  A row holds its value times ``D`` times its scale, in integers
-    and never reduced, and the rows run one node at a time as
-    straight-line code.  Every value is nonnegative, so a row with no
-    positive term or bias is 0, and one with no negative term or bias
+    input, and ``scale[r]`` for a row, the least that keeps its
+    coefficients over its operands' scales integers.  A row holds its value times ``D`` times its
+    scale, in integers and never reduced, and the rows run one node at a
+    time as straight-line code.  Every value is nonnegative, so a row with
+    no positive term or bias is 0, and one with no negative term or bias
     needs no ReLU.  Only output rows are reduced, by one gcd each; an
     input named in ``outs`` is returned as its own column object.
 
@@ -248,7 +283,8 @@ def _segment(ins: tuple[int, ...], base: int, rows, outs: tuple[int, ...]):
         return name
 
     pos = {r: i for i, r in enumerate(ins)}
-    read = {pos[r] for _b, terms, _s in rows for r, _c in terms if r < base}
+    live = [(base + k, row) for k, row in enumerate(rows) if base + k in scale]
+    read = {pos[s] for _r, (_b, terms, _s) in live for s, _c in terms if s < base}
     used = sorted(read)
     handed = {pos[r] for r in outs if r < base}
     returned = set(outs)
@@ -276,26 +312,21 @@ def _segment(ins: tuple[int, ...], base: int, rows, outs: tuple[int, ...]):
         return name
 
     # An input that several terms read is scaled to D once per node.
-    uses = Counter(pos[s] for _b, terms, _s in rows for s, _c in terms if s < base)
+    uses = Counter(pos[s] for _r, (_b, terms, _s) in live for s, _c in terms if s < base)
     node: list[str] = []
     reduced: dict[int, str] = {}  # output row -> its reduced column
-    read_here = {s for _b, terms, _s in rows for s, _c in terms if s >= base}
-    scale = dict.fromkeys(ins, 1)
-    for k, (bias, terms, row_scale) in enumerate(rows):
-        r = base + k
-        top = lcm(*(scale[s] for s, _c in terms))
-        scale[r] = top * row_scale
+    read_here = {s for _r, (_b, terms, _s) in live for s, _c in terms if s >= base}
+    for r, (bias, terms, row_scale) in live:
         signed: list[tuple[int, str]] = []  # (sign, term)
         if bias:
-            signed.append((bias, per_call(abs(bias * top), "D")))
+            signed.append((bias, per_call(abs(bias) * scale[r] // row_scale, "D")))
         for s, c in terms:
+            w = abs(c) * scale[r] // (row_scale * scale.get(s, 1))
             if s < base and uses[pos[s]] == 1:
-                signed.append((c, f"{per_call(abs(c * top), f'm{pos[s]}')} * a{pos[s]}"))
+                signed.append((c, f"{per_call(w, f'm{pos[s]}')} * a{pos[s]}"))
             elif s < base:
-                w = abs(c) * top
                 signed.append((c, f"b{pos[s]}" if w == 1 else f"{const(w)} * b{pos[s]}"))
             else:
-                w = abs(c) * top // scale[s]
                 signed.append((c, f"x{s}" if w == 1 else f"{const(w)} * x{s}"))
         plus = [x for c, x in signed if c > 0]
         minus = [x for c, x in signed if c < 0]
@@ -341,16 +372,18 @@ def _segment(ins: tuple[int, ...], base: int, rows, outs: tuple[int, ...]):
     ])
     (code,) = [c for c in compile(source, "<pmlc.net kernel>", "exec").co_consts
                if isinstance(c, CodeType)]
-    if sys.version_info >= (3, 11):
-        code = _without_positions(code)
+    code = _without_positions(code)
     return FunctionType(code, _KERNEL_GLOBALS, "kernel", (lcm, _reduced, *consts))
 
 
 def _without_positions(code: CodeType) -> CodeType:
-    """``code`` with every instruction on its first line and no columns.
-    A kernel's source is never kept, so positions would only cost memory,
-    about a third of each kernel.  The table is CPython's since 3.11: an
-    entry of kind 13, "no column", with line delta 0 per eight code units."""
+    """``code`` with every instruction on line 1 and no columns, on CPython
+    3.11, the version whose location table this writes: one entry of kind
+    13, "no column", with line delta 0, per eight code units.  Elsewhere
+    ``code`` itself.  A kernel's source is never kept, so its positions
+    only cost memory, about a third of each kernel."""
+    if sys.version_info[:2] != (3, 11):
+        return code
     units = len(code.co_code) // 2
     table = b"\xef\x00" * (units // 8)
     if units % 8:
@@ -376,23 +409,6 @@ def backward_live(stages, need) -> tuple[list[list[int]], set[int]]:
     return live, need
 
 
-INTERN_BOUND = 1 << 14
-
-
-def interned(table: dict, value: tuple) -> tuple:
-    """The value in ``table`` equal to ``value``, entered if there is none,
-    so that equal copies are one object.  A table holds one kind of value
-    and is emptied when it reaches ``INTERN_BOUND`` entries."""
-    if len(table) >= INTERN_BOUND:
-        table.clear()
-    return table.setdefault(value, value)
-
-
-# The terms, term lists and rows that lowering builds: the combs of a bank
-# repeat a few thousand of them tens of thousands of times.
-_LOWERED: dict[tuple, tuple] = {}
-
-
 def lower(n: Fnn) -> Program:
     """Lower ``n`` to a Program (see there).
 
@@ -410,6 +426,7 @@ def lower(n: Fnn) -> Program:
     reg = {i: r for r, i in enumerate(reads)}
     rows = []
     written: dict[tuple, int] = {}  # row -> the register it writes
+    pairs: dict[tuple[int, int], tuple[int, int]] = {}  # one object per term
     for layer, alive in zip(n.layers, live):
         nxt = {}
         for j in alive:
@@ -424,11 +441,14 @@ def lower(n: Fnn) -> Program:
                 (nxt[j],) = merged  # copy lane
                 continue
             f = lcm(bias.denominator, *(w.denominator for w in merged.values()))
-            terms = interned(_LOWERED, tuple(interned(_LOWERED, t) for t in sorted(
+            terms = tuple(pairs.setdefault(t, t) for t in sorted(
                 (r, int(w * f)) for r, w in merged.items()
-            )))
-            row = interned(_LOWERED, (int(bias * f), terms, f))
+            ))
+            row = (int(bias * f), terms, f)
             if row not in written:
+                owner = _ROW_OWNERS.get(row)
+                if owner is not None:
+                    row = owner.rows[owner.rows.index(row)]
                 rows.append(row)
                 written[row] = len(reads) + len(rows) - 1
             nxt[j] = written[row]
@@ -437,6 +457,8 @@ def lower(n: Fnn) -> Program:
     program = _PROGRAMS.get(key)
     if program is None:
         program = _PROGRAMS[key] = Program(*key)
+        for row in program.rows:
+            _ROW_OWNERS.setdefault(row, program)
     return program
 
 

@@ -8,6 +8,7 @@ programs behind ``mpnn_eval``, ``mpnn_eval_traced``, ``judge`` and
 
 import gc
 import random
+import sys
 import traceback
 import weakref
 from fractions import Fraction
@@ -303,7 +304,9 @@ BIASES = (0, 0, 1, -1, rat(1, 2), rat(-3, 4), rat(5, 3))
 def _random_fnn(rng):
     """Up to four layers mixing every kind of neuron the lowering treats
     apart: identity carries (copy lanes), duplicates (shared rows), neurons
-    without weights (term-less rows), and rational weights (row scales)."""
+    without weights (term-less rows), rational weights (row scales), and
+    neurons that read one input twice, with weights that may cancel (rows
+    kept alive only by a weight that merges to 0)."""
     width = rng.randint(1, 5)
     layers = []
     for _ in range(rng.randint(1, 4)):
@@ -318,7 +321,11 @@ def _random_fnn(rng):
                 neurons.append((rng.choice(BIASES), []))
             else:
                 reads = rng.sample(range(width), rng.randint(1, width))
-                neurons.append((rng.choice(BIASES), [(i, rng.choice(WEIGHTS)) for i in reads]))
+                weights = [(i, rng.choice(WEIGHTS)) for i in reads]
+                if rng.random() < 0.4:
+                    i, w = rng.choice(weights)
+                    weights.append((i, -w if rng.random() < 0.5 else rng.choice(WEIGHTS)))
+                neurons.append((rng.choice(BIASES), weights))
         layers.append((width, neurons))
         width = len(neurons)
     return _fnn(*layers)
@@ -375,13 +382,65 @@ def test_equal_programs_share_one_kernel_that_lives_only_with_them():
     assert kernel() is None
 
 
+def test_equal_rows_of_different_programs_are_one_object():
+    a = _fnn((2, [(7, [(0, 3), (1, -1)])]))
+    b = _fnn((2, [(7, [(0, 3), (1, -1)]), (0, [(0, 5)])]))
+    assert a.program != b.program
+    row = a.program.rows[0]
+    assert b.program.rows[0] is row
+    del a, b
+    gc.collect()
+    assert row not in net_module._ROW_OWNERS
+
+
 def test_an_error_inside_a_kernel_has_a_readable_traceback():
     net = _fnn((2, [(1, [(0, 2), (1, -1)])]))
+    code = net.program.kernel.__code__
+    positions = list(code.co_positions())
+    assert len(positions) == len(code.co_code) // 2
+    if sys.version_info[:2] == (3, 11):
+        # The hand-written location table decodes as line 1, no columns.
+        assert set(positions) == {(1, 1, None, None)}
     with pytest.raises(ValueError) as info:
         net.program.run([([1], 1)], 1)  # one column short
     # Test runners read the line number of every frame.
     frame = traceback.extract_tb(info.value.__traceback__)[-1]
     assert frame.filename == "<pmlc.net kernel>" and isinstance(frame.lineno, int)
+
+
+def _held_denominators(monkeypatch):
+    """The unreduced denominators that kernels hand to ``_reduced``."""
+    seen = []
+    reduced = net_module._reduced
+
+    def spy(nums, den):
+        seen.append(den)
+        return reduced(nums, den)
+
+    monkeypatch.setattr(net_module, "_reduced", spy)
+    return seen
+
+
+def test_a_chain_of_rational_rows_keeps_one_scale(monkeypatch):
+    seen = _held_denominators(monkeypatch)
+    q = 10 ** 300
+    # 256 stages of x + 1/q: each row's own scale is q, and so is its
+    # scale over the row before it.
+    net = _fnn(*[(1, [(rat(1, q), [(0, 1)])])] * 256)
+    assert fnn_eval(net, [rat(1, 3)]) == [rat(1, 3) + rat(256, q)]
+    assert seen and max(seen) == 3 * q
+
+
+def test_rows_whose_scales_multiply_start_new_segments(monkeypatch):
+    seen = _held_denominators(monkeypatch)
+    q = 10 ** 300
+    # Two lanes that stay 1 while, stage by stage, their static scale would
+    # gain a factor q: each stage needs reduced columns to start from.
+    a = (0, [(0, rat(1, q)), (1, rat(q - 1, q))])
+    b = (0, [(0, rat(q - 1, q)), (1, rat(1, q))])
+    net = _fnn(*[(2, [a, b])] * 256)
+    assert fnn_eval(net, [1, 1]) == [1, 1]
+    assert seen and max(seen).bit_length() <= 2 * q.bit_length() + 64
 
 
 def test_a_weight_of_5000_digits_is_never_formatted():
@@ -417,6 +476,16 @@ def one_node_graph(tmp_path):
     path = tmp_path / "one.graph"
     path.write_text(print_graph(PointedGraph(Graph(1, 1, frozenset(), ((1,),)), 0)))
     return str(path)
+
+
+def test_eval_runs_a_comb_whose_weights_cancel(tmp_path, capsys):
+    # The second neuron reads the first with weights 1 and -1: the first
+    # feeds no output, although the layer lists it as read.
+    net = _write_network(tmp_path, [["neuron 1/1 0:-1/1"], ["neuron 1/1 0:1/1 0:-1/1"]])
+    graph = tmp_path / "zero.graph"
+    graph.write_text(print_graph(PointedGraph(Graph(1, 1, frozenset(), ((0,),)), 0)))
+    assert main(["eval", net, str(graph)]) == 0
+    assert _value_line(capsys) == "value 1"
 
 
 def test_eval_runs_a_neuron_of_10000_terms(tmp_path, capsys, one_node_graph):
