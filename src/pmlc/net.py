@@ -264,12 +264,13 @@ def _segment(ins: tuple[int, ...], base: int, rows, scale: dict[int, int], outs:
     input that one term reads, and applied once per node to an input that
     several terms read.  Every register has a static scale: 1 for an
     input, and ``scale[r]`` for a row, the least that keeps its
-    coefficients over its operands' scales integers.  A row holds its value times ``D`` times its
-    scale, in integers and never reduced, and the rows run one node at a
-    time as straight-line code.  Every value is nonnegative, so a row with
-    no positive term or bias is 0, and one with no negative term or bias
-    needs no ReLU.  Only output rows are reduced, by one gcd each; an
-    input named in ``outs`` is returned as its own column object.
+    coefficients over its operands' scales integers.  A row holds its
+    value times ``D`` times its scale, in integers and never reduced, and
+    the rows run one node at a time as straight-line code.  Every value is
+    nonnegative, so a row with no positive term or bias is 0, and one with
+    no negative term or bias needs no ReLU.  Only output rows are reduced,
+    by one gcd each; an input named in ``outs`` is returned as its own
+    column object.
 
     Numbers from the program enter as default arguments of the generated
     function, never as source text, so no integer is ever formatted.
