@@ -18,12 +18,21 @@ only where the API returns them.  Every comb input is nonnegative (labels
 are 0/1, states are ReLU outputs, and aggregates are means, sums or maxima
 of those), which the programs' copy lanes and kernels need.
 
+A network whose combs read no neighbour port (the global constructions)
+runs on its label classes instead of its nodes: one entry per distinct
+label vector, weighted by how many nodes carry it.  Such a comb reads a
+node's own state and the global aggregate only, so nodes with equal
+labels hold equal states at every layer; the classes follow from the
+programs' reads, never from a size.  Only the tables the API returns are
+expanded to nodes.
+
 Aggregation scatters along edges rather than gathering over each node's
 neighbourhood: it visits only a column's nonzero nodes and adds each value
 into every group that holds its node (or compares it, for max).  Since
 columns are nonnegative that is exact, and it is cheap on the streams the
 local constructions mask by the focus mark, which are zero almost
-everywhere.
+everywhere.  An all-zero column costs nothing, and the global port is one
+weighted sum, mean or maximum over the entries, broadcast to them all.
 
 Judgement reads the focus node's last state dimension and compares it
 against the recognition value n^(-e): compiled networks either hit it
@@ -40,8 +49,10 @@ import functools
 import random
 import sys
 from dataclasses import dataclass
+from collections import Counter
 from itertools import compress
 from math import lcm
+from operator import mul
 from typing import Optional, Sequence
 
 from .graphs import (
@@ -87,30 +98,44 @@ def mean_scale(groups: Sequence[Sequence[int]]) -> tuple[int, Optional[list[int]
 def aggregate(
     a: Aggregator,
     col: Column,
-    members: Sequence[Sequence[int]],
+    members: Optional[Sequence[Sequence[int]]],
     width: int,
     scale: tuple[int, Optional[list[int]]],
+    weights: Optional[Sequence[int]] = None,
 ) -> Column:
     """Combine the column ``col`` over ``width`` groups of nodes: one
     numerator per group, over one denominator.  ``members[u]`` lists the
-    groups that hold node ``u``; an empty group gives 0.
+    groups that hold node ``u``; an empty group gives 0.  With ``members``
+    None there is one group, of every node (the global port), and entry
+    ``u`` of the column stands for ``weights[u]`` nodes, or for one when
+    ``weights`` is None.
 
-    Only the column's nonzero entries are read: each is added into, or for
-    a maximum compared with, every group that holds its node.  That is
-    exact because every column is nonnegative, so the zeros add nothing
-    and a maximum over the nonzero entries, 0 when there are none, is the
-    maximum over the whole group.
+    Only the column's nonzero entries are read: each is added into, or
+    for a maximum compared with, every group that holds its node, and a
+    column with none gives a zero column at once.  That is exact because
+    every column is nonnegative, so the zeros add nothing and a maximum
+    over the nonzero entries, 0 when there are none, is the maximum over
+    the whole group.
 
     Sums and maxima keep the column's denominator ``d``.  A mean has the
-    denominator ``d * L`` and scales group ``k`` by ``L / size_k``;
-    ``scale`` is ``mean_scale`` of the groups, computed once per graph and
-    read only by means.
+    denominator ``d * L`` and scales group ``k`` by ``L / size_k`` as its
+    entries are added in; ``scale`` is ``mean_scale`` of the groups,
+    computed once per graph and read only by means.
     """
     nums, den = col
-    if len(nums) != len(members):
+    if members is not None and len(nums) != len(members):
         raise ValueError(
             f"the column has {len(nums)} nodes, the member lists {len(members)}"
         )
+    top, factors = scale
+    if a is Aggregator.MEAN:
+        den *= top
+    if not any(nums):
+        return [0] * width, den
+    if members is None:
+        if a is Aggregator.MAX:
+            return [max(nums)], den
+        return [sum(nums) if weights is None else sum(map(mul, nums, weights))], den
     out = [0] * width
     try:
         if a is Aggregator.MAX:
@@ -119,19 +144,19 @@ def aggregate(
                 for k in members[u]:
                     if out[k] < x:
                         out[k] = x
-            return out, den
-        for u in compress(range(len(nums)), nums):
-            x = nums[u]
-            for k in members[u]:
-                out[k] += x
+        elif a is Aggregator.MEAN and factors is not None:
+            for u in compress(range(len(nums)), nums):
+                x = nums[u]
+                for k in members[u]:
+                    out[k] += x * factors[k]
+        else:
+            for u in compress(range(len(nums)), nums):
+                x = nums[u]
+                for k in members[u]:
+                    out[k] += x
     except IndexError:
         raise ValueError("a node is a member of a group past the width") from None
-    if a is Aggregator.SUM:
-        return out, den
-    top, factors = scale
-    if factors is not None:
-        out = [x * f for x, f in zip(out, factors)]
-    return out, den * top
+    return out, den
 
 
 # ---------------------------------------------------------------------------
@@ -232,40 +257,69 @@ class Mpnn:
         network (outside equality and hashing)."""
         return None if self.formula_text is None else parse_formula(self.formula_text)
 
+    @functools.cached_property
+    def reads_neighbours(self) -> bool:
+        """Whether some comb reads the in or out port, found once from
+        the lowered programs and kept like ``formula``."""
+        return any(
+            layer.in_dim <= i < 3 * layer.in_dim
+            for layer in self.layers
+            for i in layer.comb.program.reads
+        )
+
 
 # ---------------------------------------------------------------------------
 # Evaluation
 
 
 def fnn_eval(comb: Fnn, cols: Sequence[Column], n: int) -> list[Column]:
-    """One layer's comb over all ``n`` nodes, on the columns its program
-    reads; the column form of ``pmlc.net.fnn_eval``."""
+    """One layer's comb over ``n`` entries (nodes or label classes), on
+    the columns its program reads; the column form of
+    ``pmlc.net.fnn_eval``."""
     return comb.program.run(cols, n)
 
 
-def _states_after(m: Mpnn, g: Graph, keep_trace: bool) -> list[list[Column]]:
+def _states_after(
+    m: Mpnn, g: Graph, keep_trace: bool
+) -> tuple[list[list[Column]], Optional[list[int]]]:
     """The column tables from the labels to the last layer, or only the
-    last one unless ``keep_trace``."""
+    last one unless ``keep_trace``, and each node's entry in them (None
+    when entry ``v`` is node ``v``).
+
+    A network that reads no neighbour port runs on its label classes: one
+    entry per distinct label vector, in first-seen order, weighted by the
+    number of nodes that carry it.  Its combs read only a node's own state
+    and the global aggregate, so by induction over the layers nodes with
+    equal labels hold equal states, and the weighted global sums, means
+    and maxima are those over the nodes.  Any other network, and a graph
+    whose labels are all distinct, runs on its nodes."""
     if g.colours != m.colours:
         raise ValueError(
             f"graph has {g.colours} colours, network expects {m.colours}"
         )
     n = g.node_count
     nodes = range(n)
+    labels, weights, cls = g.labels, None, None
+    if not m.reads_neighbours:
+        counts = Counter(labels)
+        if len(counts) < n:
+            labels, weights = list(counts), list(counts.values())
+            cls = list(map(dict(zip(labels, range(len(labels)))).__getitem__, g.labels))
+    k = len(labels)
     # The first comb reads only some colours, so only their label columns
     # are built, unless the trace or a network without layers returns them.
     if keep_trace or not m.layers:
         colours = range(m.colours)
     else:
         colours = {i % m.colours for i in m.layers[0].comb.program.reads}
-    cols = {c: ([g.labels[v][c] for v in nodes], 1) for c in colours}
+    cols = {c: ([lab[c] for lab in labels], 1) for c in colours}
     tables = [list(cols.values())]
-    # Each port as (members, group count, mean scale): node u's value goes
-    # to the nodes it has edges into on the in port, to those it has edges
-    # from on the out port, and to the one group of the global port.  The
-    # in and out ports are built on their first read; the global networks
-    # never read them.
-    hoods = [None, None, (((0,),) * n, 1, mean_scale((nodes,)))]
+    # The in and out ports as (members, group count, mean scale): node u's
+    # value goes to the nodes it has edges into on the in port, and to
+    # those it has edges from on the out port.  They are built on their
+    # first read; the global networks never read them.  The global port
+    # is the one group of all n nodes.
+    hoods = [None, None, (None, 1, mean_scale((nodes,)))]
     for layer in m.layers:
         aggregators = (layer.loc_in, layer.loc_out, layer.glob)
         inputs = []
@@ -280,35 +334,38 @@ def _states_after(m: Mpnn, g: Graph, keep_trace: bool) -> list[list[Column]]:
                 hoods[:2] = (outs, n, mean_scale(ins)), (ins, n, mean_scale(outs))
             members, width, scale = hoods[port - 1]
             nums, den = aggregate(
-                aggregators[port - 1], cols[dim], members, width, scale
+                aggregators[port - 1], cols[dim], members, width, scale, weights
             )
-            inputs.append((nums * n if port == 3 else nums, den))
-        cols = fnn_eval(layer.comb, inputs, n)
+            inputs.append((nums * k if port == 3 else nums, den))
+        cols = fnn_eval(layer.comb, inputs, k)
         if not keep_trace:
             tables.clear()
         tables.append(cols)
-    return tables
+    return tables, cls
 
 
-def _fractions(cols: list[Column]) -> list[list[Rational]]:
-    """A column table as one row of ``Fraction`` per node; each distinct
-    numerator of a column becomes one ``Fraction``."""
+def _fractions(cols: list[Column], cls: Optional[list[int]]) -> list[list[Rational]]:
+    """A column table as one row of ``Fraction`` per node, node ``v``
+    reading entry ``cls[v]`` (entry ``v`` when ``cls`` is None); each
+    distinct numerator of a column becomes one ``Fraction``."""
     per_col = []
     for nums, den in cols:
         value = {x: rat(x, den) for x in set(nums)}
-        per_col.append(map(value.__getitem__, nums))
+        entries = nums if cls is None else map(nums.__getitem__, cls)
+        per_col.append(map(value.__getitem__, entries))
     return [list(row) for row in zip(*per_col)]
 
 
 def mpnn_eval(m: Mpnn, g: Graph) -> list[list[Rational]]:
     """Final state vector of every node after all synchronous rounds."""
-    (cols,) = _states_after(m, g, keep_trace=False)
-    return _fractions(cols)
+    (cols,), cls = _states_after(m, g, keep_trace=False)
+    return _fractions(cols, cls)
 
 
 def mpnn_eval_traced(m: Mpnn, g: Graph) -> list[list[list[Rational]]]:
     """All intermediate state tables: entry 0 is the labels, entry L is final."""
-    return [_fractions(cols) for cols in _states_after(m, g, keep_trace=True)]
+    tables, cls = _states_after(m, g, keep_trace=True)
+    return [_fractions(cols, cls) for cols in tables]
 
 
 # ---------------------------------------------------------------------------

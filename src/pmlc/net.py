@@ -10,8 +10,9 @@ The building blocks:
 * ``FnnLayer`` / ``Fnn`` — sparse neurons ``relu(bias + sum w_i x_i)``.
 * ``Program`` — an Fnn lowered once (cached as ``Fnn.program``) to integer
   rows over the columns of all nodes, one denominator per column.
-  Identity carries become copy lanes, neurons that feed no output are
-  dropped, neurons with the same bias and terms share one row, the
+  Identity carries become copy lanes, neurons with the same bias and
+  merged terms share one row, rows that feed no output, also through
+  weights that cancel, are dropped, the
   program records which inputs it reads, and equal combs share one
   program.  It runs as its kernel: a generated function, built on first
   use and shared by equal programs, that walks the nodes once and runs
@@ -21,8 +22,8 @@ The building blocks:
   padding depth mismatches with identity ReLUs (sound because every
   routed value is nonnegative).  The Fnn's last layer is the output
   neurons themselves, in declaration order; no layer follows only to
-  re-emit them, and it holds only neurons that feed an output (the same
-  ``backward_live`` walk that ``lower`` runs).  It carries the one gadget
+  re-emit them, and it holds only neurons that feed an output (found by
+  ``backward_live``).  It carries the one gadget
   set the compilers use: ``min_``, ``mask01``, ``flag_at``, ``not_at``,
   ``and_at`` and ``sum_of``.  Every scale a gadget works at is a ref.
 """
@@ -127,7 +128,8 @@ class Program:
 
     A row ``(bias, ((r, c), ...), scale)`` is the neuron
     ``relu(bias/scale + sum (c/scale) * x_r)``, with ``scale`` the least
-    static scale that makes its coefficients integers.  Output ``j`` is
+    static scale that makes its coefficients integers, and every row feeds
+    an output (``lower`` keeps no other).  Output ``j`` is
     register ``outputs[j]`` itself, so a copy lane costs nothing and hands
     on its source column object; no column is changed in place.
 
@@ -181,29 +183,24 @@ _KERNELS: "weakref.WeakValueDictionary[tuple, Callable]" = weakref.WeakValueDict
 def _kernel(width: int, rows, outputs) -> Callable[[Sequence[Column], int], list[Column]]:
     """The kernel of a program with ``width`` inputs (see ``Program``).
 
-    Only the rows an output needs run.  They are cut into segments, each
-    one generated function from columns to columns: a segment holds at
-    most ``SEGMENT_ROWS`` of them, and a row whose static scale there
-    (see ``_scale``) would be more than ``SCALE_BITS`` bits longer than its
-    own row scale starts a new one.  A segment hands on, as reduced
-    columns, exactly the registers that a later row reads or that are
-    outputs, so the next segment takes them as its inputs, at scale 1.
+    The rows are cut into segments, each one generated function from
+    columns to columns: a segment holds at most ``SEGMENT_ROWS`` of them,
+    and a row whose static scale there (see ``_scale``) would be more than
+    ``SCALE_BITS`` bits longer than its own row scale starts a new one.  A
+    segment hands on, as reduced columns, exactly the registers that a
+    later row reads or that are outputs, so the next segment takes them as
+    its inputs, at scale 1.
     """
-    live = set(outputs)
-    for k in reversed(range(len(rows))):
-        if width + k in live:
-            live.update(r for r, _c in rows[k][1])
-    # Each segment as (its first row, {its live rows' registers: scale}).
+    # Each segment as (its first row, {its rows' registers: scale}).
     segments: list[tuple[int, dict[int, int]]] = [(0, {})]
     for k, row in enumerate(rows):
-        if width + k in live:
-            scale = segments[-1][1]
-            r_scale = _scale(row, scale)
-            grown = r_scale.bit_length() - row[2].bit_length() > SCALE_BITS
-            if len(scale) == SEGMENT_ROWS or grown:
-                segments.append((k, {}))
-                scale, r_scale = segments[-1][1], _scale(row, {})
-            scale[width + k] = r_scale
+        scale = segments[-1][1]
+        r_scale = _scale(row, scale)
+        grown = r_scale.bit_length() - row[2].bit_length() > SCALE_BITS
+        if len(scale) == SEGMENT_ROWS or grown:
+            segments.append((k, {}))
+            scale, r_scale = segments[-1][1], _scale(row, {})
+        scale[width + k] = r_scale
     handed = [tuple(outputs)]  # each segment's outputs, last segment first
     need = set(outputs)
     for start, scale in reversed(segments[1:]):
@@ -242,10 +239,13 @@ def _scale(row, scale: dict[int, int]) -> int:
 
 
 def _reduced(nums: list[int], den: int) -> Column:
-    """The column ``nums / den`` divided by ``gcd(den, *nums)``."""
+    """The column ``nums / den`` divided by ``gcd(den, *nums)``; an
+    all-zero column is ``(nums, 1)``."""
     g = gcd(den, *nums)
     if g == 1:
         return nums, den
+    if g == den and not any(nums):
+        return nums, 1
     return [x // g for x in nums], den // g
 
 
@@ -256,8 +256,8 @@ _KERNEL_GLOBALS = {"__builtins__": builtins}
 def _segment(ins: tuple[int, ...], base: int, rows, scale: dict[int, int], outs: tuple[int, ...]):
     """One generated function: the input columns hold registers ``ins``,
     ``rows`` write registers ``base, base+1, ...``, and it returns the
-    columns of registers ``outs``.  Only the rows in ``scale`` run: each
-    one feeds a later row or is in ``outs``.
+    columns of registers ``outs``.  ``scale`` maps each row's register to
+    its static scale.
 
     Per call it brings the columns its rows read to one denominator ``D``
     (the lcm of theirs): ``D // d`` is folded into the coefficient of an
@@ -284,8 +284,8 @@ def _segment(ins: tuple[int, ...], base: int, rows, scale: dict[int, int], outs:
         return name
 
     pos = {r: i for i, r in enumerate(ins)}
-    live = [(base + k, row) for k, row in enumerate(rows) if base + k in scale]
-    read = {pos[s] for _r, (_b, terms, _s) in live for s, _c in terms if s < base}
+    placed = list(enumerate(rows, base))
+    read = {pos[s] for _r, (_b, terms, _s) in placed for s, _c in terms if s < base}
     used = sorted(read)
     handed = {pos[r] for r in outs if r < base}
     returned = set(outs)
@@ -313,11 +313,11 @@ def _segment(ins: tuple[int, ...], base: int, rows, scale: dict[int, int], outs:
         return name
 
     # An input that several terms read is scaled to D once per node.
-    uses = Counter(pos[s] for _r, (_b, terms, _s) in live for s, _c in terms if s < base)
+    uses = Counter(pos[s] for _r, (_b, terms, _s) in placed for s, _c in terms if s < base)
     node: list[str] = []
     reduced: dict[int, str] = {}  # output row -> its reduced column
-    read_here = {s for _r, (_b, terms, _s) in live for s, _c in terms if s >= base}
-    for r, (bias, terms, row_scale) in live:
+    read_here = {s for _r, (_b, terms, _s) in placed for s, _c in terms if s >= base}
+    for r, (bias, terms, row_scale) in placed:
         signed: list[tuple[int, str]] = []  # (sign, term)
         if bias:
             signed.append((bias, per_call(abs(bias) * scale[r] // row_scale, "D")))
@@ -399,7 +399,9 @@ def backward_live(stages, need) -> tuple[list[list[int]], set[int]]:
     stage before it (the inputs, for the first stage), and ``need`` the
     indices of the last stage's neurons that are used.  Returns, per
     stage, the sorted indices of the neurons that feed a needed one
-    through a nonzero weight, and the set of inputs those read.
+    through a nonzero weight, and the set of inputs those read.  Each
+    neuron's terms are taken as merged, one per index, as ``Circuit``
+    keeps them.
     """
     live: list[list[int]] = []
     need = set(need)
@@ -413,25 +415,22 @@ def backward_live(stages, need) -> tuple[list[list[int]], set[int]]:
 def lower(n: Fnn) -> Program:
     """Lower ``n`` to a Program (see there).
 
-    A neuron that feeds no output is dropped.  An identity carry
-    ``relu(1*x)`` becomes a copy lane: it names its source register
-    instead of taking one, which is exact because every input, and so
-    every value, is nonnegative.  Each remaining neuron becomes a row at
-    the least scale that makes its coefficients integers, and neurons with
-    the same bias and the same merged terms over the same registers share
-    one row.
+    An identity carry ``relu(1*x)`` becomes a copy lane: it names its
+    source register instead of taking one, which is exact because every
+    input, and so every value, is nonnegative.  Each other neuron becomes
+    a row at the least scale that makes its coefficients integers, over
+    its terms merged by register, and neurons with the same bias and the
+    same merged terms share one row.  Then only the rows that an output
+    reaches through those merged terms are kept, and only the inputs they
+    read, so a neuron read only through weights that cancel is dropped.
     """
-    stages = [layer.neurons for layer in n.layers]
-    live, need = backward_live(stages, range(n.output_dim))
-    reads = tuple(sorted(need))
-    reg = {i: r for r, i in enumerate(reads)}
-    rows = []
+    width = n.input_dim
+    rows = []  # over registers 0 .. width-1 for every input
     written: dict[tuple, int] = {}  # row -> the register it writes
-    pairs: dict[tuple[int, int], tuple[int, int]] = {}  # one object per term
-    for layer, alive in zip(n.layers, live):
-        nxt = {}
-        for j in alive:
-            bias, weights = layer.neurons[j]
+    reg = range(width)  # each neuron of the stage before -> its register
+    for layer in n.layers:
+        nxt = []
+        for bias, weights in layer.neurons:
             merged: dict[int, Rational] = {}
             for i, w in weights:
                 if w:
@@ -439,22 +438,34 @@ def lower(n: Fnn) -> Program:
                     merged[r] = merged[r] + w if r in merged else w
             merged = {r: w for r, w in merged.items() if w}
             if bias == 0 and list(merged.values()) == [1]:
-                (nxt[j],) = merged  # copy lane
+                nxt.extend(merged)  # copy lane
                 continue
             f = lcm(bias.denominator, *(w.denominator for w in merged.values()))
-            terms = tuple(pairs.setdefault(t, t) for t in sorted(
-                (r, int(w * f)) for r, w in merged.items()
-            ))
-            row = (int(bias * f), terms, f)
+            row = (int(bias * f), tuple(sorted((r, int(w * f)) for r, w in merged.items())), f)
             if row not in written:
-                owner = _ROW_OWNERS.get(row)
-                if owner is not None:
-                    row = owner.rows[owner.rows.index(row)]
                 rows.append(row)
-                written[row] = len(reads) + len(rows) - 1
-            nxt[j] = written[row]
+                written[row] = width + len(rows) - 1
+            nxt.append(written[row])
         reg = nxt
-    key = (reads, tuple(rows), tuple(reg[j] for j in range(n.output_dim)))
+    live = set(reg)
+    for k in reversed(range(len(rows))):
+        if width + k in live:
+            live.update(r for r, _c in rows[k][1])
+    reads = tuple(sorted(r for r in live if r < width))
+    # Renumber: the reads, then the live rows.  The order is kept, so
+    # each row's terms stay sorted.
+    new = {r: i for i, r in enumerate(reads)}
+    kept = []
+    pairs: dict[tuple[int, int], tuple[int, int]] = {}  # one object per term
+    for k, (bias, terms, f) in enumerate(rows):
+        if width + k in live:
+            row = (bias, tuple(pairs.setdefault(t, t) for t in ((new[r], c) for r, c in terms)), f)
+            owner = _ROW_OWNERS.get(row)
+            if owner is not None:
+                row = owner.rows[owner.rows.index(row)]
+            new[width + k] = len(reads) + len(kept)
+            kept.append(row)
+    key = (reads, tuple(kept), tuple(new[r] for r in reg))
     program = _PROGRAMS.get(key)
     if program is None:
         program = _PROGRAMS[key] = Program(*key)

@@ -32,6 +32,9 @@ from pmlc.graphs import (
 )
 from pmlc.mpnn import (
     Aggregator,
+    CertaintyDescriptor,
+    Mpnn,
+    MpnnLayer,
     judge,
     mpnn_eval,
     mpnn_eval_traced,
@@ -39,6 +42,7 @@ from pmlc.mpnn import (
 )
 import pmlc.net as net_module
 from pmlc.net import Fnn, FnnLayer, fnn_eval, rat
+from pmlc.oracle import models
 
 from targets import bank
 
@@ -139,6 +143,87 @@ def test_random_networks_match_reference():
         assert mpnn_eval_traced(net, g) == want, i
 
 
+def _global_mpnn(rng, colours, globs):
+    """A random network whose combs read only ports 0 and 3 (own state
+    and global aggregate), with the global aggregators ``globs``."""
+    layers = []
+    width = colours
+    for glob in globs:
+        dense = random_mpnn(rng, width, max_layers=1, max_dim=3).layers[0]
+        neurons = tuple(
+            (bias, tuple((i, w) for i, w in weights if i < width or i >= 3 * width))
+            for bias, weights in dense.comb.layers[0].neurons
+        )
+        comb = Fnn((FnnLayer(4 * width, neurons),))
+        layers.append(MpnnLayer(comb, dense.loc_in, dense.loc_out, glob, width, dense.out_dim))
+        width = dense.out_dim
+    return Mpnn(colours, tuple(layers), CertaintyDescriptor(0), False, "any")
+
+
+def _label_graph(rng, n, colours, kinds):
+    """``n`` nodes with random edges, whose labels are drawn from
+    ``kinds`` distinct random label vectors."""
+    pool = [tuple(rng.randint(0, 1) for _ in range(colours)) for _ in range(kinds)]
+    labels = tuple(rng.choice(pool) for _ in range(n))
+    edges = frozenset((rng.randrange(n), rng.randrange(n)) for _ in range(n)) if n else frozenset()
+    return Graph(n, colours, edges, labels)
+
+
+def test_global_networks_match_reference_on_label_classes():
+    rng = random.Random("evaluator-classes")
+    aggregators = list(Aggregator)
+    seen = set()
+    for i in range(300):
+        colours = rng.randint(1, 3)
+        globs = [rng.choice(aggregators) for _ in range(rng.randint(1, 3))]
+        net = _global_mpnn(rng, colours, globs)
+        assert not net.reads_neighbours
+        seen.update(layer.glob for layer in net.layers)
+        n = (0, 1, rng.randint(2, 12), rng.randint(2, 12))[i % 4]
+        kinds = 1 if i % 8 == 3 else rng.randint(1, 4)
+        g = _label_graph(rng, n, colours, kinds)
+        want = reference_eval(net, g)
+        assert mpnn_eval(net, g) == want[-1], i
+        assert mpnn_eval_traced(net, g) == want, i
+    assert seen == set(aggregators)
+
+
+def _fnn_sizes(monkeypatch):
+    """The ``n`` of every comb run, recorded."""
+    import pmlc.mpnn as mpnn
+
+    sizes = []
+    run = mpnn.fnn_eval
+    monkeypatch.setattr(
+        mpnn, "fnn_eval", lambda comb, cols, n: sizes.append(n) or run(comb, cols, n)
+    )
+    return sizes
+
+
+def test_global_networks_run_once_per_label_class(monkeypatch):
+    target = next(t for t in ALL_TARGETS if t.name == "global-shallow")
+    phi = bank(target.name)[0]
+    net, _rep = compile(phi, target)
+    assert net.required_class == "marked" and not net.reads_neighbours
+    pg = gen_marked(5, 2000, net.colours, 0)
+    assert not pg.graph.edges
+    classes = len(set(pg.graph.labels))
+    sizes = _fnn_sizes(monkeypatch)
+    verdict = judge(net, pg)
+    assert len(sizes) == len(net.layers) and max(sizes) <= classes < 2000
+    assert verdict.kind == ("accept" if models(pg, phi) else "reject")
+
+
+def test_networks_that_read_a_neighbour_port_run_on_every_node(monkeypatch):
+    target = next(t for t in ALL_TARGETS if t.name == "local-mixed-sum")
+    net, _rep = compile(bank(target.name)[0], target)
+    assert net.reads_neighbours
+    g = gen_pointed(5, 300, net.colours, 0.01).graph
+    sizes = _fnn_sizes(monkeypatch)
+    assert mpnn_eval(net, g) == reference_eval(net, g)[-1]
+    assert sizes == [300] * len(net.layers)
+
+
 # ---------------------------------------------------------------------------
 # Lowering
 
@@ -172,6 +257,17 @@ def test_neurons_that_feed_no_output_are_dropped():
     assert len(prog.rows) == 2
     assert fnn_eval(net, [3, 1, 7]) == [rat(4)]
     assert fnn_eval(net, [1, 3, 7]) == [rat(0)]
+
+
+def test_neurons_read_only_through_cancelling_weights_are_dropped():
+    # The second stage reads the first neuron with weights 1 and -1.
+    net = _fnn((4, [(1, [(0, -1)])]), (1, [(1, [(0, 1), (0, -1)])]))
+    assert net.program.rows == ((1, (), 1),) and net.program.reads == ()
+    # Two equal neurons are one row, so weights 1 and -1 on them cancel too.
+    net = _fnn((2, [(1, [(0, 1)]), (1, [(0, 1)]), (0, [(1, 1)])]),
+               (3, [(0, [(0, 1), (1, -1), (2, 1)])]))
+    assert net.program.rows == () and net.program.reads == (1,)
+    assert fnn_eval(net, [5, 2]) == [2]
 
 
 def test_rational_weights_get_a_static_scale():
