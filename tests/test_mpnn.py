@@ -162,10 +162,21 @@ def test_aggregate_matches_gathering_on_every_port(graph_and_col, a):
     ins, outs = g.adjacency
     everyone = (range(n),)
     # The ports of _states_after: in-groups reached through the out lists,
-    # out-groups through the in lists, and the one global group.
-    for groups, members in ((ins, outs), (outs, ins), (everyone, ((0,),) * n)):
+    # out-groups through the in lists, and the one global group, also as
+    # the one-group path with no member lists.
+    for groups, members in ((ins, outs), (outs, ins), (everyone, ((0,),) * n), (everyone, None)):
         want = _gather(a, col, groups)
         assert aggregate(a, col, members, len(groups), mean_scale(groups)) == want
+
+
+def test_weighted_entries_stand_for_their_nodes():
+    # Entries of weights 2, 4 and 1 on the one global group: seven nodes.
+    nums, weights = [3, 0, 5], [2, 4, 1]
+    scale = mean_scale((range(7),))
+    for a in (MEAN, SUM, MAX):
+        want = aggregate(a, ([3, 3, 0, 0, 0, 0, 5], 4), None, 1, scale)
+        assert aggregate(a, (nums, 4), None, 1, scale, weights) == want
+    assert aggregate(MEAN, (nums, 4), None, 1, scale, weights) == ([11], 28)
 
 
 class _CountingList(list):
