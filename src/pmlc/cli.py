@@ -160,6 +160,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.seeds < 0:
         raise ValueError(f"--seeds must be nonnegative, got {args.seeds}")
+    if args.max_nodes < 1:
+        raise ValueError(f"--max-nodes must be at least 1, got {args.max_nodes}")
     phi = _read_formula(args.formula)
     if args.mpnn is not None:
         net = parse_mpnn(_read(args.mpnn))

@@ -429,6 +429,23 @@ def _circulant_member(
     return PointedGraph(g, 0)
 
 
+# Most nodes a trace tree may have; a larger one is not built, and the
+# class member falls back to the circulant one.
+MAX_TREE_NODES = 4096
+
+
+def _side_nodes(branching: int, depth: int) -> int:
+    """``b + b**2 + ... + b**depth`` for ``b = branching``, counted only
+    until it passes ``MAX_TREE_NODES``."""
+    total, level = 0, 1
+    for _ in range(depth):
+        level *= branching
+        total += level
+        if total > MAX_TREE_NODES:
+            break
+    return total
+
+
 def _two_sided_tree(
     rng: random.Random, phi: PmlFormula, branching: int, colours: int
 ) -> Optional[PointedGraph]:
@@ -436,7 +453,9 @@ def _two_sided_tree(
 
     Out-traces grow an out-tree below the focus, in-traces an in-tree; a
     side keeps the requested branching only when the other side is absent
-    (otherwise converging siblings would share trace sets).
+    (otherwise converging siblings would share trace sets).  None when the
+    traces are mixed or the tree would pass ``MAX_TREE_NODES`` nodes.
+    Nodes are numbered in preorder, each subtree before the next sibling.
     """
     fam = _traces(phi)
     if any(len(set(t)) > 1 for t in fam):
@@ -445,31 +464,20 @@ def _two_sided_tree(
     in_depth = max((len(t) for t in fam if t and t[0] is Modality.E_IN), default=0)
     b_out = branching if in_depth == 0 else 1
     b_in = branching if out_depth == 0 else 1
-    edges: set[tuple[int, int]] = set()
-    counter = [0]
-
-    def new_node() -> int:
-        counter[0] += 1
-        return counter[0]
-
-    edges.add((0, 0))  # focus self-loop (walk prefixes may stall here)
-
-    def grow(at: int, depth: int, limit: int, b: int, side: Modality) -> None:
-        if depth >= limit:
-            return
-        for _ in range(b):
-            child = new_node()
-            if side is Modality.E_OUT:
-                edges.add((at, child))
-            else:
-                edges.add((child, at))
-            if depth + 1 < limit:
+    if 1 + _side_nodes(b_out, out_depth) + _side_nodes(b_in, in_depth) > MAX_TREE_NODES:
+        return None
+    edges = {(0, 0)}  # focus self-loop (walk prefixes may stall here)
+    n = 1
+    for limit, b, side in ((out_depth, b_out, Modality.E_OUT), (in_depth, b_in, Modality.E_IN)):
+        # Each entry is one child still to grow: (its parent, its depth).
+        todo = [(0, 1)] * b if limit else []
+        while todo:
+            at, depth = todo.pop()
+            child, n = n, n + 1
+            edges.add((at, child) if side is Modality.E_OUT else (child, at))
+            if depth < limit:
                 edges.add((child, child))
-            grow(child, depth + 1, limit, b, side)
-
-    grow(0, 0, out_depth, b_out, Modality.E_OUT)
-    grow(0, 0, in_depth, b_in, Modality.E_IN)
-    n = counter[0] + 1
+                todo.extend([(child, depth + 1)] * b)
     g = Graph(
         n, colours, frozenset(edges), _random_labels(rng, n, colours, 0)
     )
@@ -523,6 +531,8 @@ def class_instance(
     and, per class, the degree or the tree branching; ``seed`` drives the
     class generator itself.
     """
+    if max_nodes < 1:
+        raise ValueError(f"max_nodes must be at least 1, got {max_nodes}")
     n = rng.randint(1, max_nodes)
     p = rng.choice([0.2, 0.5, 0.8])
     if tag == "any":

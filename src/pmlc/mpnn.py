@@ -47,7 +47,6 @@ from __future__ import annotations
 import enum
 import functools
 import random
-import sys
 from dataclasses import dataclass
 from collections import Counter
 from itertools import compress
@@ -570,8 +569,7 @@ def parse_mpnn(text: str) -> Mpnn:
             nxt = r.peek()
             if nxt is not None and nxt.startswith("dims"):
                 saw_dims = True
-                # Networks repeat a few names thousands of times; each is kept once.
-                dim_rows.append(tuple(map(sys.intern, r.next().split()[1:])))
+                dim_rows.append(tuple(r.next().split()[1:]))
             elif saw_dims:
                 raise MpnnFormatError("dims rows must cover all layers or none")
             fnn_layers = _int_field(r.next("fnn"), "fnn")

@@ -12,9 +12,8 @@ The building blocks:
   rows over the columns of all nodes, one denominator per column.
   Identity carries become copy lanes, neurons with the same bias and
   merged terms share one row, rows that feed no output, also through
-  weights that cancel, are dropped, the
-  program records which inputs it reads, and equal combs share one
-  program.  It runs as its kernel: a generated function, built on first
+  weights that cancel, are dropped, and the program records which inputs
+  it reads.  It runs as its kernel: a generated function, built on first
   use and shared by equal programs, that walks the nodes once and runs
   every row at each node as straight-line integer code.  ``fnn_eval`` (on
   one-node columns) and the message-passing evaluator both run it.
@@ -32,7 +31,6 @@ from __future__ import annotations
 
 import builtins
 import functools
-import sys
 import weakref
 from collections import Counter
 from dataclasses import dataclass
@@ -133,12 +131,13 @@ class Program:
     register ``outputs[j]`` itself, so a copy lane costs nothing and hands
     on its source column object; no column is changed in place.
 
-    ``run`` calls the kernel (see ``_segment``).  Per call it brings the
-    input columns to one denominator ``D``, the lcm of theirs; ReLU is
-    positively homogeneous, so every row holds its value times ``D`` and
-    a static scale in integers, with no division.  Only the row outputs
-    are reduced, by one gcd each, so every output column is in lowest
-    terms and the same as a row-by-row evaluation would give.
+    ``run`` calls the kernel, which equal programs share (see
+    ``_segment``).  Per call it brings the input columns to one
+    denominator ``D``, the lcm of theirs; ReLU is positively homogeneous,
+    so every row holds its value times ``D`` and a static scale in
+    integers, with no division.  Only the row outputs are reduced, by one
+    gcd each, so every output column is in lowest terms and the same as a
+    row-by-row evaluation would give.
     """
 
     reads: tuple[int, ...]
@@ -170,13 +169,8 @@ SEGMENT_ROWS = 256
 STATEMENT_TERMS = 64
 SCALE_BITS = 64
 
-# Weak tables, so each entry lives only while a network uses it.  Programs
-# by their fields: equal combs lower to one program.  Each row of a live
-# program, mapped to one program that holds it: lowering reuses that row
-# object, as the combs of a bank repeat a few thousand rows tens of
-# thousands of times.  Kernels by (input count, rows, outputs).
-_PROGRAMS: "weakref.WeakValueDictionary[tuple, Program]" = weakref.WeakValueDictionary()
-_ROW_OWNERS: "weakref.WeakValueDictionary[tuple, Program]" = weakref.WeakValueDictionary()
+# Kernels by (input count, rows, outputs), in a weak table, so equal
+# programs compile one kernel and it lives only while a program uses it.
 _KERNELS: "weakref.WeakValueDictionary[tuple, Callable]" = weakref.WeakValueDictionary()
 
 
@@ -373,23 +367,7 @@ def _segment(ins: tuple[int, ...], base: int, rows, scale: dict[int, int], outs:
     ])
     (code,) = [c for c in compile(source, "<pmlc.net kernel>", "exec").co_consts
                if isinstance(c, CodeType)]
-    code = _without_positions(code)
     return FunctionType(code, _KERNEL_GLOBALS, "kernel", (lcm, _reduced, *consts))
-
-
-def _without_positions(code: CodeType) -> CodeType:
-    """``code`` with every instruction on line 1 and no columns, on CPython
-    3.11, the version whose location table this writes: one entry of kind
-    13, "no column", with line delta 0, per eight code units.  Elsewhere
-    ``code`` itself.  A kernel's source is never kept, so its positions
-    only cost memory, about a third of each kernel."""
-    if sys.version_info[:2] != (3, 11):
-        return code
-    units = len(code.co_code) // 2
-    table = b"\xef\x00" * (units // 8)
-    if units % 8:
-        table += bytes([0xE8 | (units % 8 - 1), 0])
-    return code.replace(co_linetable=table)
 
 
 def backward_live(stages, need) -> tuple[list[list[int]], set[int]]:
@@ -460,18 +438,9 @@ def lower(n: Fnn) -> Program:
     for k, (bias, terms, f) in enumerate(rows):
         if width + k in live:
             row = (bias, tuple(pairs.setdefault(t, t) for t in ((new[r], c) for r, c in terms)), f)
-            owner = _ROW_OWNERS.get(row)
-            if owner is not None:
-                row = owner.rows[owner.rows.index(row)]
             new[width + k] = len(reads) + len(kept)
             kept.append(row)
-    key = (reads, tuple(kept), tuple(new[r] for r in reg))
-    program = _PROGRAMS.get(key)
-    if program is None:
-        program = _PROGRAMS[key] = Program(*key)
-        for row in program.rows:
-            _ROW_OWNERS.setdefault(row, program)
-    return program
+    return Program(reads, tuple(kept), tuple(new[r] for r in reg))
 
 
 def fnn_eval(n: Fnn, inputs: Sequence[RationalLike]) -> list[Rational]:
@@ -522,13 +491,9 @@ class Circuit:
     in order of first use and placed only when the Fnn is built.
     """
 
-    def __init__(self, inputs: Mapping[str, int], width: Optional[int] = None):
+    def __init__(self, inputs: Mapping[str, int]):
         self._inputs = dict(inputs)
         self._ports: dict = {}  # each input port's Ref, built on first use
-        used = max(self._inputs.values(), default=-1) + 1
-        self._width = used if width is None else width
-        if self._width < used:
-            raise ValueError("declared width smaller than the largest port index")
         # neurons[d] = list of (bias, [(index, weight), ...]) at depth d+1,
         # each index that of a ref at depth d
         self._neurons: list[list[tuple[Rational, list[tuple[int, Rational]]]]] = []
@@ -619,7 +584,8 @@ class Circuit:
         refs' own neurons, and a neuron named twice appears twice.
         ``ports`` takes the set of input ports the kept neurons read and
         returns each one's index and the input width; by default the ports
-        have the indices and the width given at construction.
+        have the indices given at construction, and the width is one past
+        the largest.
         """
         outs = [self._outputs[nm] for nm in (self._outputs if names is None else names)]
         if not outs:
@@ -629,7 +595,8 @@ class Circuit:
         live, read = backward_live(self._neurons[:depth], [r.index for r in finals])
         names_of = list(self._ports)
         if ports is None:
-            index, width = self._inputs, self._width
+            index = self._inputs
+            width = max(index.values(), default=-1) + 1
         else:
             index, width = ports({names_of[i] for i in read})
         place = {i: index[names_of[i]] for i in read}

@@ -429,6 +429,19 @@ def test_gen_tree_like_instance(tmp_path):
     assert is_regular(pg.graph)
 
 
+def test_gen_tree_like_on_a_deep_chain_falls_back_at_once(tmp_path):
+    # A binary out-tree 40 deep would have 2**41 - 1 nodes; past the tree
+    # bound the generator takes the circulant member instead.
+    f = write(tmp_path, "out40.pml", chain("out", 40))
+    out = str(tmp_path / "t.graph")
+    start = time.perf_counter()
+    assert main(["gen", "--class", "tree-like", "--seed", "1",
+                 "--formula", f, "--out", out]) == 0
+    assert time.perf_counter() - start < 1
+    pg = parse_graph(open(out).read())
+    assert pg.graph.node_count == 2 * 40 + 2
+
+
 def test_gen_tree_like_needs_formula(tmp_path, capsys):
     assert main(["gen", "--class", "tree-like"]) == 2
     assert "needs --formula" in capsys.readouterr().err
@@ -494,6 +507,16 @@ def test_verify_rejects_a_negative_seed_count(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "RESULT" not in captured.out
     assert "error: --seeds must be nonnegative" in captured.err
+
+
+@pytest.mark.parametrize("max_nodes", ["0", "-3"])
+def test_verify_rejects_a_max_node_count_below_one(tmp_path, capsys, max_nodes):
+    f = write(tmp_path, "f.pml", "<in>{x1 <= 1}(p0)")
+    assert main(["verify", f, "--target", "local-mixed-sum",
+                 "--max-nodes", max_nodes]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: --max-nodes must be at least 1" in captured.err
 
 
 def test_verify_fragment_mismatch_exits_3(tmp_path):

@@ -1,15 +1,19 @@
 """Graph model, class predicates, trace sets, generators, serialization."""
 
 import gc
+import random
 import weakref
 
 import pytest
 
 from pmlc.graphs import (
+    MAX_TREE_NODES,
     Graph,
     GraphFormatError,
     PointedGraph,
+    _two_sided_tree,
     check_tree_like,
+    class_instance,
     gen_marked,
     gen_pointed,
     gen_regular_strongly_marked,
@@ -22,7 +26,7 @@ from pmlc.graphs import (
     parse_graph,
     print_graph,
 )
-from pmlc.logic import Modality, parse_formula
+from pmlc.logic import Modal, Modality, Prop, normalize_atom, parse_formula
 
 from shapes import (
     OUT_OUT,
@@ -298,6 +302,38 @@ def test_gen_tree_like_builds_full_tree_for_out_formula():
     assert pg.graph.node_count == 7
     ok, _ = check_tree_like(OUT_OUT, pg, 1)
     assert ok
+
+
+def _out_chain(depth):
+    """``<out>{x1 >= 1}`` nested ``depth`` times over ``p0``, built by the
+    constructors, so no parser bound applies."""
+    phi = Prop(0)
+    for _ in range(depth):
+        phi = Modal((Modality.E_OUT,), normalize_atom({(1,): 1}, ">=", 1), (phi,))
+    return phi
+
+
+def test_a_trace_tree_is_built_up_to_the_node_bound():
+    # 1 + 2 + ... + 2**11 nodes, within the bound; 12 deep doubles past it.
+    pg = _two_sided_tree(random.Random(0), _out_chain(11), 2, 2)
+    assert pg.graph.node_count == 2**12 - 1 <= MAX_TREE_NODES < 2**13 - 1
+    assert _two_sided_tree(random.Random(0), _out_chain(12), 2, 2) is None
+    # Past the bound the class member is the circulant one.
+    pg = gen_tree_like(1, _out_chain(12), 2, 2, False)
+    assert pg.graph.node_count == 2 * 12 + 2
+    ok, witness = check_tree_like(_out_chain(12), pg, 1)
+    assert ok, witness
+
+
+def test_a_trace_tree_deeper_than_the_recursion_limit_is_grown():
+    pg = _two_sided_tree(random.Random(0), _out_chain(1200), 1, 2)
+    assert pg.graph.node_count == 1201
+    assert (1199, 1200) in pg.graph.edges and (1200, 1200) not in pg.graph.edges
+
+
+def test_class_instance_needs_a_positive_max_node_count():
+    with pytest.raises(ValueError, match="max_nodes"):
+        class_instance("any", 1, random.Random(1), OUT_OUT, 0)
 
 
 def test_generators_deterministic():

@@ -3,11 +3,13 @@
 No module holds an ``assert`` statement: invariants must survive
 ``python -O``, so they are explicit raises.  No module imports a name it
 never uses.  No function in ``pmlc.compiler`` or ``pmlc.oracle`` calls
-itself, and in ``pmlc.logic`` only the parser's methods do, which
-``MAX_NESTING`` bounds: every other formula walk goes through the
-iterative ``postorder`` or an explicit stack, so no input ends in
-unbounded recursion.  Only ``pmlc.net`` runs generated code (its
-kernels): no other module calls ``exec``, ``eval`` or ``compile``.
+itself, nor does any in ``pmlc.graphs``, and in ``pmlc.logic`` only the
+parser's methods do, which ``MAX_NESTING`` bounds: every other formula
+walk goes through the iterative ``postorder`` or an explicit stack, so no
+input ends in unbounded recursion.  Only ``pmlc.net`` runs generated code
+(its kernels): no other module calls ``exec``, ``eval`` or ``compile``.
+No module reads ``sys.version_info``: one code path serves every
+supported interpreter.
 """
 
 import ast
@@ -93,7 +95,8 @@ def _self_calls(tree: ast.Module) -> list:
 
 @pytest.mark.parametrize(
     "path",
-    sorted((SRC / "compiler").glob("*.py")) + [SRC / "logic.py", SRC / "oracle.py"],
+    sorted((SRC / "compiler").glob("*.py"))
+    + [SRC / "graphs.py", SRC / "logic.py", SRC / "oracle.py"],
     ids=lambda p: str(p.relative_to(SRC)),
 )
 def test_no_recursive_formula_walks(path):
@@ -123,3 +126,14 @@ def test_only_the_kernels_run_generated_code(path):
         assert lines, "the kernel builder no longer compiles code"
     else:
         assert not lines, f"{path.name}: exec, eval or compile at lines {lines}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
+def test_no_interpreter_version_forks(path):
+    lines = [
+        node.lineno
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Attribute) and node.attr == "version_info"
+        or isinstance(node, ast.alias) and node.name == "version_info"
+    ]
+    assert not lines, f"{path.name}: reads version_info at lines {lines}"
