@@ -149,12 +149,6 @@ def _reach_maps(
     return reach, parent
 
 
-def _traces_reaching(
-    reach: dict[tuple[Modality, ...], set[int]], u: int, level: int
-) -> frozenset[tuple[Modality, ...]]:
-    return frozenset(t for t, nodes in reach.items() if len(t) <= level and u in nodes)
-
-
 @dataclass(frozen=True)
 class TreeLikeWitness:
     """Why a pointed graph fails the tree-like check.
@@ -202,7 +196,19 @@ def check_tree_like(
     if not is_marked(g, pg.focus, colour):
         return False, TreeLikeWitness(kind="not_marked")
     reach, parent = _reach_maps(phi, pg, modal_depth(phi))
-    for t in _traces(phi):
+    # ids[u] names u's set of reaching traces up to length ``level``: two
+    # nodes share an id exactly when they share that set.  A level adds to
+    # a node's id the positions in ``_traces(phi)`` of the traces of that
+    # length that reach it (``reached``).
+    ids = [0] * g.node_count
+    ids[pg.focus] = 1
+    names: dict[tuple[int, tuple[int, ...]], int] = {}
+    level, reached = 0, {}
+    for i, t in enumerate(_traces(phi)):
+        if len(t) > level:
+            for u, positions in reached.items():
+                ids[u] = names.setdefault((ids[u], tuple(positions)), len(names) + 2)
+            level, reached = len(t), {}
         prefix = t[:-1]
         direction = t[-1].surface
         for q in sorted(reach[prefix]):
@@ -214,17 +220,18 @@ def check_tree_like(
                 )
         side = "in" if t[-1] is Modality.E_OUT else "out"
         for w in sorted(reach[t]):
-            cands = neigh(g, w, side)
-            sets = [_traces_reaching(reach, u, len(t) - 1) for u in cands]
-            for a in range(len(cands)):
-                for b in range(a + 1, len(cands)):
-                    if sets[a] == sets[b]:
-                        return False, TreeLikeWitness(
-                            kind="indistinct_pair",
-                            trace=t,
-                            walk=_witness_walk(parent, t, w),
-                            pair=(cands[a], cands[b]),
-                        )
+            groups: dict[int, list[int]] = {}
+            for u in neigh(g, w, side):
+                groups.setdefault(ids[u], []).append(u)
+            pair = next((grp for grp in groups.values() if len(grp) > 1), None)
+            if pair is not None:
+                return False, TreeLikeWitness(
+                    kind="indistinct_pair",
+                    trace=t,
+                    walk=_witness_walk(parent, t, w),
+                    pair=(pair[0], pair[1]),
+                )
+            reached.setdefault(w, []).append(i)
     return True, None
 
 
@@ -430,7 +437,9 @@ def _circulant_member(
 
 
 # Most nodes a trace tree may have; a larger one is not built, and the
-# class member falls back to the circulant one.
+# class member falls back to the circulant one.  ``gen_tree_like`` also
+# checks a candidate only when its node count times the formula's trace
+# count stays within it.
 MAX_TREE_NODES = 4096
 
 
@@ -493,7 +502,8 @@ def gen_tree_like(
 ) -> PointedGraph:
     """Member of the formula's tree-like class (re-checked; falls back to a
     self-looped cycle and finally a single node when the richer shapes are
-    rejected).  With ``regular=True`` the result is additionally regular."""
+    rejected).  With ``regular=True`` the result is additionally regular.
+    Only the single node is checked past ``MAX_TREE_NODES`` (see there)."""
     if branching < 1:
         raise ValueError("branching must be positive")
     rng = random.Random(f"tree-like-{rng_seed}")
@@ -505,8 +515,11 @@ def gen_tree_like(
             candidates.append(tree)
     candidates.append(_circulant_member(rng, phi, colours))
     candidates.append(_single_node_member(rng, colours))
+    work = len(_traces(phi))
     for pg in candidates:
         if regular and not is_regular(pg.graph):
+            continue
+        if pg.graph.node_count > 1 and pg.graph.node_count * work > MAX_TREE_NODES:
             continue
         ok, _ = check_tree_like(phi, pg, mark)
         if ok:

@@ -20,8 +20,10 @@ equality, ``==`` is ``is`` and ``hash`` is a stored number.  Every node also
 stores the facts the compilers keep asking for: ``modal_depth``, ``degree``
 and ``max_prop`` on formulas, ``arity`` and ``degree`` on constraints.  The
 interning table holds its nodes weakly, so it keeps no formula alive.
-Hashing, comparing, listing subformulas, printing and flattening never
-recurse: they share one iterative walk, ``postorder``.
+Parsing, hashing, comparing, listing subformulas, printing and flattening
+never recurse: the parser's grammar rules run as generators on an explicit
+stack, and the rest share one iterative walk, ``postorder``.  Neither
+bounds nesting depth, and the parser never backtracks.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ import enum
 import itertools
 import re
 import weakref
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import reduce
 from typing import Iterator, Mapping, Union
@@ -241,7 +242,9 @@ class Modal(_Node):
         if not modalities:
             raise ValueError("modal node needs at least one position")
         if len(modalities) != len(children):
-            raise ValueError("modality/child count mismatch")
+            raise ValueError(
+                f"modal node has {len(modalities)} modalities but {len(children)} children"
+            )
         if constraint.arity > len(modalities):
             raise ValueError(
                 f"constraint uses x{constraint.arity} but the modal node has only "
@@ -310,11 +313,6 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-class _ProductTooLarge(ParseError):
-    """A product over ``MAX_PRODUCT_TERMS``: the same term text fails in
-    every reading, so the parser does not backtrack past it."""
-
-
 _TOKEN_RE = re.compile(
     r"\s+|(?P<prop>p\d+)|(?P<var>x\d+)|(?P<int>\d+)|(?P<word>[A-Za-z_]+)"
     r"|(?P<op><=|>=|[<>=!&|(){},+\-*])"
@@ -335,13 +333,6 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-# Deepest nesting of negations, parentheses, modal nodes and unary minus
-# that the parser accepts.  The parser recurses a few interpreter frames
-# per level, so deeper input would overflow the interpreter's stack.  The
-# formula core (interning, hashing, subformula listing, printing,
-# flattening), the compilers' formula walks and the oracle do not recurse.
-MAX_NESTING = 256
-
 # Most monomial products one ``*`` in a constraint term may form before
 # merging.  Each atom normalizes to one polynomial, so a product of sums
 # expands in full: without the cap, k factors of an 8-variable sum form
@@ -360,10 +351,46 @@ def _times(a: tuple[tuple[int, int], ...], b: tuple[tuple[int, int], ...]):
 
 
 class _Parser:
+    """Recursive descent without recursion and without backtracking.
+
+    Each grammar rule is a generator that asks for a sub-parse with
+    ``x = yield self.rule`` and returns its result.  ``run`` keeps the open
+    rules on an explicit list, so nesting costs heap, not interpreter stack.
+    A ``(`` where a constraint may start opens a term exactly when the token
+    after its matching ``)`` may follow a term and no constraint: an
+    arithmetic operator or a comparison.  ``__init__`` finds these in one
+    scan.
+    """
+
     def __init__(self, text: str) -> None:
         self.tokens = _tokenize(text)
         self.i = 0
-        self.depth = 0
+        self.term_opens: set[int] = set()
+        opens = []
+        for j, (_, tok, _) in enumerate(self.tokens):
+            if tok == "(":
+                opens.append(j)
+            elif tok == ")" and opens:
+                start = opens.pop()
+                if self.tokens[j + 1][1] in ("+", "-", "*", "<=", ">=", "<", ">", "="):
+                    self.term_opens.add(start)
+
+    def run(self, rule):
+        """The result of ``rule`` read from the whole input."""
+        stack, value = [rule()], None
+        while stack:
+            try:
+                sub = stack[-1].send(value)
+            except StopIteration as done:
+                stack.pop()
+                value = done.value
+            else:
+                stack.append(sub())
+                value = None
+        kind, text, pos = self.peek()
+        if kind != "eof":
+            raise ParseError(f"trailing input {text!r}", pos)
+        return value
 
     # -- token plumbing
 
@@ -383,77 +410,53 @@ class _Parser:
     def at(self, value: str) -> bool:
         return self.peek()[1] == value
 
-    @contextmanager
-    def nested(self, pos: int) -> Iterator[None]:
-        """Parse one nesting level deeper, at most MAX_NESTING deep."""
-        if self.depth >= MAX_NESTING:
-            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", pos)
-        self.depth += 1
-        try:
-            yield
-        finally:
-            self.depth -= 1
+    def group(self, rule, neg, conj):
+        """The rest of ``(left)``, ``(left & right)`` or ``(left | right)``
+        after its ``(``; redundant parentheses are an accepted superset."""
+        left = yield rule
+        kind, text, pos = self.next()
+        if text == ")":
+            return left
+        if text not in ("&", "|"):
+            raise ParseError(f"expected '&', '|' or ')', found {text!r}", pos)
+        right = yield rule
+        self.expect(")")
+        return conj(left, right) if text == "&" else neg(conj(neg(left), neg(right)))
 
     # -- formulas
 
-    def phi(self) -> PmlFormula:
-        kind, text, pos = self.peek()
+    def phi(self):
+        kind, text, pos = self.next()
         if kind == "prop":
-            self.next()
             return Prop(int(text[1:]))
         if text == "!":
-            self.next()
-            with self.nested(pos):
-                return Not(self.phi())
+            return Not((yield self.phi))
         if text == "<":
-            with self.nested(pos):
-                return self.modal()
+            return (yield self.modal)
         if text == "(":
-            self.next()
-            with self.nested(pos):
-                left = self.phi()
-                kind, text, pos = self.next()
-                if text == ")":
-                    return left  # redundant parentheses (accepted superset)
-                if text == "&":
-                    right = self.phi()
-                    self.expect(")")
-                    return And(left, right)
-                if text == "|":
-                    right = self.phi()
-                    self.expect(")")
-                    return Not(And(Not(left), Not(right)))
-            raise ParseError(f"expected '&', '|' or ')', found {text!r}", pos)
+            return (yield from self.group(self.phi, Not, And))
         raise ParseError(f"expected a formula, found {text or 'end of input'!r}", pos)
 
-    def modal(self) -> PmlFormula:
-        self.expect("<")
+    def modal(self):
         mods = [self.modality()]
         while self.at(","):
             self.next()
             mods.append(self.modality())
         self.expect(">")
         self.expect("{")
-        psi = self.psi()
+        psi = yield self.psi
         self.expect("}")
-        kind, text, pos = self.peek()
+        pos = self.peek()[2]
         self.expect("(")
-        children = [self.phi()]
+        children = [(yield self.phi)]
         while self.at(","):
             self.next()
-            children.append(self.phi())
+            children.append((yield self.phi))
         self.expect(")")
-        if len(mods) != len(children):
-            raise ParseError(
-                f"modal node has {len(mods)} modalities but {len(children)} children", pos
-            )
-        arity = peano_arity(psi)
-        if arity > len(mods):
-            raise ParseError(
-                f"constraint uses x{arity} but the modal node has {len(mods)} positions",
-                pos,
-            )
-        return Modal(tuple(mods), psi, tuple(children))
+        try:
+            return Modal(tuple(mods), psi, tuple(children))
+        except ValueError as e:  # a count or arity mismatch
+            raise ParseError(str(e), pos) from None
 
     def modality(self) -> Modality:
         kind, text, pos = self.next()
@@ -463,45 +466,21 @@ class _Parser:
 
     # -- constraints
 
-    def psi(self) -> PeanoFormula:
-        kind, text, pos = self.peek()
-        if text == "!":
+    def psi(self):
+        if self.at("!"):
             self.next()
-            with self.nested(pos):
-                return PeanoNot(self.psi())
-        if text == "(":
-            # '(' may open a parenthesized constraint or a parenthesized
-            # term of an atom; try the atom reading first and backtrack.
-            mark = self.i
-            try:
-                return self.atom()
-            except _ProductTooLarge:
-                raise
-            except ParseError:
-                self.i = mark
+            return PeanoNot((yield self.psi))
+        if self.at("(") and self.i not in self.term_opens:
             self.next()
-            with self.nested(pos):
-                left = self.psi()
-                kind, text, pos = self.next()
-                if text == ")":
-                    return left  # redundant parentheses (accepted superset)
-                if text == "&":
-                    right = self.psi()
-                    self.expect(")")
-                    return PeanoAnd(left, right)
-                if text == "|":
-                    right = self.psi()
-                    self.expect(")")
-                    return PeanoNot(PeanoAnd(PeanoNot(left), PeanoNot(right)))
-            raise ParseError(f"expected '&', '|' or ')', found {text!r}", pos)
-        return self.atom()
+            return (yield from self.group(self.psi, PeanoNot, PeanoAnd))
+        return (yield self.atom)
 
-    def atom(self) -> PeanoFormula:
-        lhs = self.term()
+    def atom(self):
+        lhs = yield self.term
         kind, text, pos = self.next()
         if text not in ("<=", ">=", "<", ">", "="):
             raise ParseError(f"expected a comparison, found {text or 'end of input'!r}", pos)
-        rhs = self.term()
+        rhs = yield self.term
         if any(k and v != 0 for k, v in rhs.items()):
             raise ParseError("comparison right-hand side must be an integer", pos)
         poly = {
@@ -514,26 +493,26 @@ class _Parser:
     # cost does not grow with the degree.  ``atom`` turns each vector into
     # the sorted variable tuple that ``normalize_atom`` takes.
 
-    def term(self) -> dict[tuple[tuple[int, int], ...], int]:
-        acc = self.term_mul()
+    def term(self):
+        acc = yield self.term_mul
         while self.peek()[1] in ("+", "-"):
             op = self.next()[1]
-            rhs = self.term_mul()
+            rhs = yield self.term_mul
             for k, v in rhs.items():
                 acc[k] = acc.get(k, 0) + (v if op == "+" else -v)
         return acc
 
-    def term_mul(self) -> dict[tuple[tuple[int, int], ...], int]:
-        acc = self.term_unary()
+    def term_mul(self):
+        acc = yield self.term_unary
         # One-monomial factors are gathered into one monomial, applied at
         # the end.  A monomial maps monomials one to one, so every ``len(acc)``
         # the cap checks is the same as in a left-to-right product.
         mono, coeff = (), 1
         while self.at("*"):
             pos = self.next()[2]
-            rhs = self.term_unary()
+            rhs = yield self.term_unary
             if len(acc) * len(rhs) > MAX_PRODUCT_TERMS:
-                raise _ProductTooLarge(
+                raise ParseError(
                     f"product of {len(acc)} by {len(rhs)} monomials exceeds "
                     f"the limit of {MAX_PRODUCT_TERMS} products",
                     pos,
@@ -552,25 +531,19 @@ class _Parser:
             acc = {_times(k, mono): v * coeff for k, v in acc.items()}
         return acc
 
-    def term_unary(self) -> dict[tuple[tuple[int, int], ...], int]:
-        kind, text, pos = self.peek()
+    def term_unary(self):
+        kind, text, pos = self.next()
         if text == "-":
-            self.next()
-            with self.nested(pos):
-                return {k: -v for k, v in self.term_unary().items()}
+            return {k: -v for k, v in (yield self.term_unary).items()}
         if kind == "int":
-            self.next()
             return {(): int(text)}
         if kind == "var":
-            self.next()
             idx = int(text[1:])
             if idx < 1:
                 raise ParseError("count variables are 1-based (x1, x2, ...)", pos)
             return {((idx, 1),): 1}
         if text == "(":
-            self.next()
-            with self.nested(pos):
-                inner = self.term()
+            inner = yield self.term
             self.expect(")")
             return inner
         raise ParseError(f"expected a term, found {text or 'end of input'!r}", pos)
@@ -579,21 +552,13 @@ class _Parser:
 def parse_formula(text: str) -> PmlFormula:
     """Parse surface syntax into a normalized formula AST."""
     p = _Parser(text)
-    phi = p.phi()
-    kind, text_, pos = p.peek()
-    if kind != "eof":
-        raise ParseError(f"trailing input {text_!r}", pos)
-    return phi
+    return p.run(p.phi)
 
 
 def parse_peano(text: str) -> PeanoFormula:
     """Parse a bare constraint (used by tests and tooling)."""
     p = _Parser(text)
-    psi = p.psi()
-    kind, text_, pos = p.peek()
-    if kind != "eof":
-        raise ParseError(f"trailing input {text_!r}", pos)
-    return psi
+    return p.run(p.psi)
 
 
 # ---------------------------------------------------------------------------
@@ -719,7 +684,11 @@ def subformulas_ordered(phi: PmlFormula) -> tuple[PmlFormula, ...]:
 
 
 def _modal_at(phi: PmlFormula, depth: int) -> list[Modal]:
-    return [s for s in postorder(phi) if isinstance(s, Modal) and s.modal_depth == depth]
+    """The modal nodes of modal depth ``depth`` in ``phi``, in postorder.  The
+    walk stops at them and below that depth, so a chain costs one step."""
+    stop = lambda s: s.modal_depth < depth or s.modal_depth == depth and isinstance(s, Modal)
+    order = postorder(phi, lambda s: () if stop(s) else _operands(s))
+    return [s for s in order if isinstance(s, Modal) and s.modal_depth == depth]
 
 
 def traces(phi: PmlFormula) -> Iterator[tuple[Modality, ...]]:

@@ -22,7 +22,7 @@ from pmlc.graphs import (
     parse_graph,
     print_graph,
 )
-from pmlc.logic import MAX_FLATTEN_MODALS, MAX_NESTING, MAX_PRODUCT_TERMS
+from pmlc.logic import MAX_FLATTEN_MODALS, MAX_PRODUCT_TERMS
 from pmlc.mpnn import parse_mpnn
 from pmlc.net import rat
 
@@ -63,16 +63,16 @@ def test_parse_rejects_bad_formula(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_parse_rejects_runaway_nesting(tmp_path, capsys):
+def test_parse_reads_a_deeply_nested_file_and_prints_it_back(tmp_path, capsys):
     f = write(tmp_path, "deep.pml", "!" * 1200 + "p0")
-    assert main(["parse", f]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "nesting" in err
-    assert "Traceback" not in err
+    assert main(["parse", f]) == 0
+    out, err = capsys.readouterr()
+    assert out.splitlines()[0] == "formula " + "!" * 1200 + "p0"
+    assert err == ""
 
 
-def test_formula_at_the_nesting_bound_runs_end_to_end(tmp_path, capsys):
-    f = write(tmp_path, "deep.pml", "!" * MAX_NESTING + "p0")
+def test_a_deeply_nested_formula_runs_end_to_end(tmp_path, capsys):
+    f = write(tmp_path, "deep.pml", "!" * 1200 + "p0")
     out = str(tmp_path / "deep.mpnn")
     g = graph_file(tmp_path, "g.graph", 2, 2, [(0, 1)], [(1, 1), (0, 0)])
     assert main(["parse", f]) == 0
@@ -81,6 +81,21 @@ def test_formula_at_the_nesting_bound_runs_end_to_end(tmp_path, capsys):
     assert main(["eval", out, g]) == 0
     assert main(["verify", f, "--target", "global-shallow", "--seeds", "3"]) == 0
     assert "error" not in capsys.readouterr().err
+
+
+def test_a_nested_network_from_a_deep_formula_is_judged(tmp_path, capsys):
+    # A tree-like network's class check re-parses its formula line, so the
+    # formula must read back however deep it is.
+    f = write(tmp_path, "deep.pml", "!" * 1200 + "<out>{x1 >= 1}(p0)")
+    net, g = str(tmp_path / "deep.mpnn"), str(tmp_path / "g.graph")
+    assert main(["compile", f, "--target", "nested-mixed-sum", "--out", net]) == 0
+    assert main(["gen", "--class", "tree-like", "--seed", "1",
+                 "--formula", f, "--out", g]) == 0
+    capsys.readouterr()
+    assert main(["eval", net, g]) == 0
+    assert capsys.readouterr().out.startswith("verdict accept")
+    assert main(["verify", f, "--mpnn", net, "--seeds", "20"]) == 0
+    assert "RESULT agree=20/20" in capsys.readouterr().out
 
 
 def product_of_sums(k, modality="top"):
@@ -440,6 +455,19 @@ def test_gen_tree_like_on_a_deep_chain_falls_back_at_once(tmp_path):
     assert time.perf_counter() - start < 1
     pg = parse_graph(open(out).read())
     assert pg.graph.node_count == 2 * 40 + 2
+
+
+def test_gen_tree_like_on_a_4000_deep_chain_checks_within_its_bound(tmp_path):
+    # Neither the 4,001-node trace tree nor the 8,002-node circulant member
+    # is checked: each would visit more than MAX_TREE_NODES (node, trace)
+    # pairs.  The single node is a member of every tree-like class.
+    f = write(tmp_path, "out4000.pml", chain("out", 4000))
+    out = str(tmp_path / "t.graph")
+    start = time.perf_counter()
+    assert main(["gen", "--class", "tree-like", "--branching", "1", "--seed", "1",
+                 "--formula", f, "--out", out]) == 0
+    assert time.perf_counter() - start < 5
+    assert parse_graph(open(out).read()).graph.node_count == 1
 
 
 def test_gen_tree_like_needs_formula(tmp_path, capsys):

@@ -30,6 +30,14 @@ FORMULAS = (
     "<id,top>{(x1 + x2 >= 2 & !x2 <= 0)}(p0, !p1)",
     "<out>{x1 >= 1}(<in>{2*x1 <= 3}(p0))",
 )
+# Products of sums on either side of the product cap: five factors of
+# x1+...+x8 make 792 monomials, and a sixth of six variables would form
+# 792 * 6 = 4,752 products, past MAX_PRODUCT_TERMS.
+_SUM8 = "(" + "+".join(f"x{i}" for i in range(1, 9)) + ")"
+PRODUCTS = tuple(
+    f"<{','.join(['top'] * 8)}>{{{'*'.join([_SUM8] * 5)}{tail} >= 1}}({','.join(['p0'] * 8)})"
+    for tail in ("", "*(x1+x2+x3+x4+x5+x6)")
+)
 GRAPHS = (
     "graph 2 2\nnode 0 11\nnode 1 10\nedge 0 1\nedge 1 0\nfocus 0\n",
     "graph 3 2\nnode 0 01\nnode 1 10\nnode 2 00\nedge 0 0\nedge 2 0\nfocus 0\n",
@@ -89,6 +97,12 @@ def _typed(parse, error, text):
 @FUZZ
 @given(mutants(FORMULAS))
 def test_parse_formula_succeeds_or_raises_parse_error(text):
+    _typed(parse_formula, ParseError, text)
+
+
+@FUZZ
+@given(mutants(PRODUCTS))
+def test_products_of_sums_parse_or_raise_parse_error(text):
     _typed(parse_formula, ParseError, text)
 
 

@@ -2,12 +2,12 @@
 
 No module holds an ``assert`` statement: invariants must survive
 ``python -O``, so they are explicit raises.  No module imports a name it
-never uses.  No function in ``pmlc.compiler`` or ``pmlc.oracle`` calls
-itself, nor does any in ``pmlc.graphs``, and in ``pmlc.logic`` only the
-parser's methods do, which ``MAX_NESTING`` bounds: every other formula
-walk goes through the iterative ``postorder`` or an explicit stack, so no
-input ends in unbounded recursion.  Only ``pmlc.net`` runs generated code
-(its kernels): no other module calls ``exec``, ``eval`` or ``compile``.
+never uses.  No function in ``pmlc.compiler``, ``pmlc.graphs``,
+``pmlc.logic`` or ``pmlc.oracle`` calls itself: every formula walk,
+parsing included, goes through the iterative ``postorder`` or an explicit
+stack, so no input ends in unbounded recursion.  Only ``pmlc.net`` runs
+generated code (its kernels): no other module calls ``exec``, ``eval`` or
+``compile``.
 No module reads ``sys.version_info``: one code path serves every
 supported interpreter.
 """
@@ -101,10 +101,6 @@ def _self_calls(tree: ast.Module) -> list:
 )
 def test_no_recursive_formula_walks(path):
     calls = _self_calls(_tree(path))
-    if path.name == "logic.py":
-        # The detector sees the parser's recursion, the one allowed here.
-        assert "_Parser.phi" in calls
-        calls = [c for c in calls if not c.startswith("_Parser.")]
     assert not calls, f"{path.name}: recursive {calls}"
 
 

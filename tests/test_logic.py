@@ -1,5 +1,6 @@
 """Parser, printer, normalization, metrics, traces, and fragment tags."""
 
+import time
 from itertools import islice
 
 import pytest
@@ -153,6 +154,96 @@ def test_parse_error_carries_position():
     assert exc.value.pos == 6
 
 
+@pytest.mark.parametrize(
+    "text, same_as",
+    [
+        # A '(' where a constraint may start opens a term when the token
+        # after its ')' continues the term or compares it ...
+        ("(x1) <= 2", "x1 <= 2"),
+        ("((x1) <= 2)", "x1 <= 2"),
+        ("(x1+1)*(x2) <= 3", "x1*x2 + x2 <= 3"),
+        ("(x1) - 1 = 2", "x1 = 3"),
+        ("((x1)) + (x2) > 1", "x1 + x2 > 1"),
+        ("(x1) < (2)", "x1 < 2"),
+        ("-(x1) >= -(2)", "-x1 >= -2"),
+        ("(((x1) + 1) * 2 <= 4 & x2 <= 1)", "(2*x1 <= 2 & x2 <= 1)"),
+        # ... and a constraint otherwise.
+        ("(x1 <= 2)", "x1 <= 2"),
+        ("((x1 <= 2) & !(x1 >= 3))", "(x1 <= 2 & !x1 >= 3)"),
+        ("((x1 <= 2) | ((x2) > 1))", "(x1 <= 2 | x2 > 1)"),
+        ("!(x1 >= 1)", "!x1 >= 1"),
+    ],
+)
+def test_a_parenthesis_opens_a_term_or_a_constraint(text, same_as):
+    assert parse_peano(text) == parse_peano(same_as)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["(x1 <= 2) + 1 <= 3", "((x1) <= 2) <= 3", "((x1 + 1) & x1 <= 2)", "(x1) & x1 <= 2"],
+)
+def test_a_parenthesized_constraint_is_no_term(text):
+    with pytest.raises(ParseError):
+        parse_peano(text)
+
+
+# Each nesting construct: its parser, its text at depth k, and that text's
+# canonical print.  Depths are even, so unary minus cancels.
+NESTINGS = {
+    "negation": (parse_formula, lambda k: "!" * k + "p0", lambda k: "!" * k + "p0"),
+    "parentheses": (parse_formula, lambda k: "(" * k + "p0" + ")" * k, lambda k: "p0"),
+    "conjunction": (
+        parse_formula,
+        lambda k: "(p0 & " * k + "p1" + ")" * k,
+        lambda k: "(p0 & " * k + "p1" + ")" * k,
+    ),
+    "modal node": (
+        parse_formula,
+        lambda k: "<out>{x1 >= 1}(" * k + "p0" + ")" * k,
+        lambda k: "<out>{!x1 <= 0}(" * k + "p0" + ")" * k,
+    ),
+    "unary minus": (parse_peano, lambda k: "-" * k + "x1 <= 2", lambda k: "x1 <= 2"),
+    "term parentheses": (
+        parse_peano, lambda k: "(" * k + "x1" + ")" * k + " <= 2", lambda k: "x1 <= 2"
+    ),
+    "negated constraint": (
+        parse_peano, lambda k: "!(" * k + "x1 <= 2" + ")" * k, lambda k: "!" * k + "x1 <= 2"
+    ),
+    "constraint parentheses": (
+        parse_peano, lambda k: "(" * k + "x1 <= 2" + ")" * k, lambda k: "x1 <= 2"
+    ),
+}
+
+
+def _best_parse_time(parse, text):
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        parse(text)
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+@pytest.mark.parametrize("name", sorted(NESTINGS))
+def test_parse_time_is_linear_in_nesting_depth(name):
+    parse, text, printed = NESTINGS[name]
+    show = print_formula if parse is parse_formula else print_peano
+    # 10,000 levels parse under the default recursion limit.
+    result = parse(text(10_000))
+    assert show(result) == printed(10_000)
+    # Four times as deep takes about four times as long; a parser that is
+    # quadratic in depth would take sixteen.
+    small, large = _best_parse_time(parse, text(2_500)), _best_parse_time(parse, text(10_000))
+    assert large < 10 * small, (small, large)
+
+
+def test_parse_reads_100000_negations():
+    phi = parse_formula("!" * 100_000 + "p0")
+    for _ in range(100_000):
+        phi = phi.operand
+    assert phi is Prop(0)
+
+
 # ---------------------------------------------------------------------------
 # Printing round-trips
 
@@ -210,8 +301,8 @@ def test_max_prop():
 
 
 def test_deep_formulas_need_no_recursion():
-    # Built through the constructors, far past the parser's nesting bound:
-    # hashing, comparing, listing, measuring and printing must not recurse.
+    # Built through the constructors: hashing, comparing, listing,
+    # measuring, printing and parsing back must not recurse.
     chains = []
     for _ in range(2):
         phi = Prop(2)
@@ -227,11 +318,13 @@ def test_deep_formulas_need_no_recursion():
     wrapped = Modal((Modality.TOP,), parse_peano("x1 >= 1"), (phi,))
     assert modal_depth(wrapped) == 1 and degree(wrapped) == 1
     assert print_formula(wrapped) == "<top>{!x1 <= 0}(" + "!" * 5000 + "p2)"
+    assert parse_formula(print_formula(wrapped)) is wrapped
     assert repr(phi) == "Not('" + "!" * 5000 + "p2')"
     deep_constraint = parse_peano("x1 >= 1")
     for _ in range(5000):
         deep_constraint = PeanoNot(deep_constraint)
     assert repr(deep_constraint) == "PeanoNot('" + "!" * 5001 + "x1 <= 0')"
+    assert parse_peano(print_peano(deep_constraint)) is deep_constraint
     # Interning: equal formulas are one object, however they were built.
     assert parse_formula(EX_MIXED) is parse_formula(EX_MIXED)
     assert parse_peano("x1*x2 <= 3") is parse_peano("x2*x1 <= 3")
