@@ -67,6 +67,13 @@ from .mpnn import (
 )
 from .oracle import models
 
+# Largest node count ``gen --n`` and ``verify --max-nodes`` accept.  The
+# random generators draw one coin per ordered node pair, so a graph costs
+# time and memory quadratic in its node count.
+MAX_NODES = 1000
+# Largest ``gen --colours``: every node stores one label bit per colour.
+MAX_COLOURS = 1000
+
 
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
@@ -134,6 +141,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    if not 0 <= args.edge_prob <= 1:  # also false for NaN
+        raise ValueError(f"--edge-prob must lie in [0, 1], got {args.edge_prob}")
+    if args.n > MAX_NODES:
+        raise ValueError(f"--n must be at most {MAX_NODES}, got {args.n}")
+    if not 0 <= args.colours <= MAX_COLOURS:
+        raise ValueError(
+            f"--colours must be between 0 and {MAX_COLOURS}, got {args.colours}"
+        )
     tag = args.klass
     if tag in ("tree-like", "regular-tree-like"):
         if args.formula is None:
@@ -160,8 +175,11 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.seeds < 0:
         raise ValueError(f"--seeds must be nonnegative, got {args.seeds}")
-    if args.max_nodes < 1:
-        raise ValueError(f"--max-nodes must be at least 1, got {args.max_nodes}")
+    if not 1 <= args.max_nodes <= MAX_NODES:
+        raise ValueError(
+            f"--max-nodes must be at least 1 and at most {MAX_NODES}, "
+            f"got {args.max_nodes}"
+        )
     phi = _read_formula(args.formula)
     if args.mpnn is not None:
         net = parse_mpnn(_read(args.mpnn))
@@ -264,9 +282,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a graph-class instance")
     p.add_argument("--class", dest="klass", required=True, choices=CLASS_TAGS)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n", type=int, default=4, help="node count")
-    p.add_argument("--colours", type=int, default=0, help="0 = class default")
-    p.add_argument("--edge-prob", type=float, default=0.5)
+    p.add_argument("--n", type=int, default=4, help=f"node count, at most {MAX_NODES}")
+    p.add_argument(
+        "--colours", type=int, default=0,
+        help=f"0 = class default; at most {MAX_COLOURS}",
+    )
+    p.add_argument("--edge-prob", type=float, default=0.5, help="in [0, 1]")
     p.add_argument("--degree", type=int, default=1, help="regular-strong only")
     p.add_argument("--branching", type=int, default=2, help="tree-like only")
     p.add_argument("--formula", help="tree-like classes derive shape from it")
@@ -278,7 +299,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target")
     p.add_argument("--mpnn", help="judge this network file instead of compiling")
     p.add_argument("--seeds", type=int, default=100, help="instance count")
-    p.add_argument("--max-nodes", type=int, default=DEFAULT_MAX_NODES)
+    p.add_argument(
+        "--max-nodes", type=int, default=DEFAULT_MAX_NODES,
+        help=f"largest instance, at most {MAX_NODES} nodes",
+    )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trace-cap", type=int, default=DEFAULT_TRACE_CAP)
     p.set_defaults(func=cmd_verify)

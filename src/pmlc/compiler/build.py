@@ -32,7 +32,10 @@ throughout:
   a skeleton over its modal nodes and lifted flags, with those gadgets;
 * before the check every monomial pipeline and the unit must share one
   denominator: a ``Ledger`` counts the mean divisions a pipeline still
-  owes, and ``LayerPlan.hop`` pays one of them or leaves the value.
+  owes, and ``LayerPlan.hop`` pays one of them or leaves the value.  The
+  unit is the empty monomial's ``Stream`` (``unit_stream``), so a builder
+  keeps one stream list and one ledger table, the unit and the check
+  scale included.
 """
 
 from __future__ import annotations
@@ -352,7 +355,10 @@ class Ledger:
     """Mean divisions one pipeline still owes before the check layer.
 
     Each aligned layer pays at most one division, taken from the first
-    port, in the fixed order glob, in, out, that still has some owed.
+    port, in the fixed order glob, in, out, that still has some owed.  A
+    builder keeps one table of them by dim, in stream order, ``U`` and
+    then the check scale ``R2`` last; the unit, with no factors, owes the
+    whole common denominator.
     """
 
     def __init__(self, glob: int = 0, ins: int = 0, outs: int = 0):
@@ -379,10 +385,11 @@ class Stream:
     factors (``tops``) and identity factors (``ids``), and per edge factor
     the child and the port, ``in`` or ``out``, it counts on (``edges``).
     Nested stages keep one copy of each dim per trace class: ``acc(ii)``
-    and ``rcv(ii)``."""
+    and ``rcv(ii)``.  The unit is the stream of the empty monomial, with
+    no modal node and no factors (``unit_stream``)."""
 
     def __init__(
-        self, dim: str, recv: str, j: int, variables: Tuple[int, ...], chi: Modal
+        self, dim: str, recv: str, j: int, variables: Tuple[int, ...], chi: Optional[Modal]
     ):
         self.dim = dim
         self.recv = recv
@@ -432,6 +439,12 @@ def streams(modals: Sequence[Modal], dim: str = "a", prefix: str = "") -> List[S
                     h = f"{prefix}{len(table)}"
                     table.append(Stream(f"{dim}{h}", f"r{h}", j, m.variables, chi))
     return table
+
+
+def unit_stream(suffix: str = "") -> Stream:
+    """The unit's stream ``U<suffix>`` (receiving on ``V<suffix>``), of the
+    empty monomial: no modal node, no factors.  Builders append it last."""
+    return Stream(f"U{suffix}", f"V{suffix}", -1, (), None)
 
 
 def degenerate_boolean(phi: PmlFormula, marked: bool) -> Mpnn:

@@ -15,8 +15,8 @@ Structure of the network, for modal depth M and constraint degree K:
 * setup (layers 1..M-1) — truth flags, the focus mark, a carrier dim
   whose global mean supplies the uniform scale n^-j at layer j, and
   reach dims y_T tracking whether a node ends some class trace T;
-* one seeding layer: stage-1 accumulators and unit streams start at the
-  uniform scale, zeroed outside their class by the separation gadget;
+* one seeding layer: stage 1's streams start at the uniform scale,
+  zeroed outside their class by the separation gadget;
 * M stages, innermost constraints first.  A stage runs K push/pull
   blocks (one per monomial factor; pushes are gated by the child's
   truth, either a layer-1 flag or the previous stage's combination
@@ -25,6 +25,11 @@ Structure of the network, for modal depth M and constraint degree K:
   scale, emitting combination dims plus the next stage's seeds.  The
   final stage's check layer is the root: it sums each top-level modal
   truth over all classes and masks the skeleton's verdict to the focus.
+
+A stage's unit ``U<level>`` is the empty monomial's stream, last in the
+stage's stream list, so the stream loops seed it, run its idle round
+trips and pay its divisions from the stage's one ledger table; with no
+factors it owes the whole common denominator.
 
 Mean-only networks ("regular" variants) additionally need a regular
 graph so that every push/pull division is by the same degree; with a
@@ -42,7 +47,7 @@ from __future__ import annotations
 
 from functools import partial
 from itertools import islice
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from ..logic import (
     Modal,
@@ -59,10 +64,10 @@ from .build import (
     LayerPlan,
     Ledger,
     Scaffold,
-    Stream,
     TraceLimitExceeded,
     opposite,
     streams,
+    unit_stream,
 )
 
 
@@ -137,20 +142,11 @@ def build_nested(
             dict.fromkeys(chi for gamma in refs for chi in _modal_leaves(gamma))
         )
 
-    stage: Dict[int, List[Stream]] = {}
-    hmap: Dict[int, Dict[Tuple[int, Tuple[int, ...]], Stream]] = {}
-    for level in range(1, M + 1):
-        stage[level] = streams(stage_modals[level], "a", f"{level}.")
-        hmap[level] = {(s.j, s.variables): s for s in stage[level]}
-
     zone_len = K if extra is None else max(2 * K - 1, 0)
     total_layers = M + M * (2 * K + zone_len + 1)
 
     def e_of(level: int) -> int:
         return (M - 1) + 2 * K * level
-
-    def uname(j: int) -> str:
-        return f"u{j}"
 
     exponent = e_of(M)
     needed_u = (set(range(1, M)) | {e_of(l) for l in range(1, M + 1)}) - {0}
@@ -179,7 +175,7 @@ def build_nested(
                     terms.append((-1, mk))
             elif inside:
                 terms.append((1, plan.prev(f"y{ti}")))
-                terms.append((-1, plan.prev(uname(len(trace)))))
+                terms.append((-1, plan.prev(f"u{len(trace)}")))
             else:
                 terms.append((-1, plan.prev(f"y{ti}")))
         return plan.relu(terms, bias=bias)
@@ -197,16 +193,17 @@ def build_nested(
         if plan.k < exponent:
             plan.set("C", plan.mask01(plan.glob("C"), plan.prev("mk")))
         if plan.k in needed_u:
-            plan.set(uname(plan.k), plan.relu([(1, plan.glob("C"))]))
+            plan.set(f"u{plan.k}", plan.relu([(1, plan.glob("C"))]))
         return plan
 
     # Layer 1: flags, mark, carrier; for M >= 2 the first reach dims and
-    # uniform, for M = 1 a constant unit dim and the stage-1 seeds.
+    # uniform, for M = 1 a constant unit dim that seeds stage 1 here,
+    # separated against the mark bit since ``mk`` is not written yet.
     plan, _memo = sc.first()
-    mkbit = plan.prev(sc.mark_bit)
-    plan.set("C", plan.mask01(plan.glob(sc.mark_bit), mkbit))
+    mk_ref = plan.prev(sc.mark_bit)
+    plan.set("C", plan.mask01(plan.glob(sc.mark_bit), mk_ref))
     if M >= 2:
-        plan.set(uname(1), plan.relu([(1, plan.glob(sc.mark_bit))]))
+        plan.set("u1", plan.relu([(1, plan.glob(sc.mark_bit))]))
         for ti, trace in enumerate(tidx):
             if len(trace) == 1:
                 port = opposite(trace[0].surface)
@@ -215,13 +212,8 @@ def build_nested(
                     plan.min_(plan.glob(sc.mark_bit), plan.agg(port, sc.mark_bit)),
                 )
     else:
-        one = plan.relu([], bias=1)
-        plan.set(uname(0), one)
-        for s in stage[1]:
-            for ii in subsets:
-                plan.set(s.acc(ii), sep(plan, ii, one, mk_ref=mkbit))
-        for ii in subsets:
-            plan.set(f"U1.{ii}", sep(plan, ii, one, mk_ref=mkbit))
+        src = plan.relu([], bias=1)
+        plan.set("u0", src)
 
     # Remaining setup: reach dims of length i arrive at layer i, each the
     # minimum of the capped carrier mean and the parent dim's directed mean.
@@ -235,40 +227,35 @@ def build_nested(
                     f"y{ti}", plan.min_(plan.glob("C"), plan.agg(port, f"y{parent}"))
                 )
 
-    # Seeding layer: stage-1 accumulators and unit at the uniform scale.
+    # Seeding layer: stage 1 starts at the uniform scale.
     if M >= 2:
         plan = open_layer()
-        src = plan.prev(uname(M - 1))
-        for s in stage[1]:
-            for ii in subsets:
-                plan.set(s.acc(ii), sep(plan, ii, src))
-        for ii in subsets:
-            plan.set(f"U1.{ii}", sep(plan, ii, src))
+        src, mk_ref = plan.prev(f"u{M - 1}"), None
 
     for level in range(1, M + 1):
-        ss = stage[level]
+        # The stage's streams, the unit ``U<level>`` last, all seeded at
+        # ``src``: the seeding layer's uniform for stage 1, the previous
+        # stage's check scale after it.
+        ss = streams(stage_modals[level], "a", f"{level}.") + [unit_stream(str(level))]
+        by_monomial = {(s.j, s.variables): s for s in ss}
+        for s in ss:
+            for ii in subsets:
+                plan.set(s.acc(ii), sep(plan, ii, src, mk_ref))
+
         cbs = stage_children.get(level - 1, [])
         cb_index = {gamma: c for c, gamma in enumerate(cbs)}
-        sref_name = uname(e_of(level - 1))
-
-        def udim(ii: int) -> str:
-            return f"U{level}.{ii}"
-
-        def vdim(ii: int) -> str:
-            return f"V{level}.{ii}"
+        sref_name = f"u{e_of(level - 1)}"
 
         # Alignment ledgers: a mean-only stream owes one in-division per
         # missing factor; with an extra aggregator only focus-side pulls
         # divide, so a stream owes K per direction less its own factors.
         if extra is None:
             need = {s.dim: Ledger(ins=K - len(s.edges)) for s in ss}
-            unit = Ledger(ins=K)
         else:
             need = {
                 s.dim: Ledger(ins=K - s.counted("in"), outs=K - s.counted("out"))
                 for s in ss
             }
-            unit = Ledger(ins=K, outs=K)
 
         for t in range(1, K + 1):
             # Push: each live accumulator travels to the counted
@@ -297,9 +284,6 @@ def build_nested(
                     # in-neighbourhood (one regular division).
                     for ii in subsets:
                         plan.set(s.rcv(ii), plan.relu([(1, plan.agg("in", s.acc(ii)))]))
-            if extra is None:
-                for ii in subsets:
-                    plan.set(vdim(ii), plan.relu([(1, plan.agg("in", udim(ii)))]))
 
             # Pull: collect the gated values back onto the stage sites.
             plan = open_layer()
@@ -313,26 +297,19 @@ def build_nested(
                         plan.set(s.acc(ii), sep(plan, ii, plan.agg("out", s.rcv(ii))))
                 else:
                     pull(plan, s.acc, need[s.dim].pay())
-            if extra is None:
-                for ii in subsets:
-                    plan.set(udim(ii), sep(plan, ii, plan.agg("out", vdim(ii))))
-            else:
-                pull(plan, udim, unit.pay())
 
-        # Alignment zone: self-loop hops level every pipeline and the unit
-        # at the stage's common denominator.
+        # Alignment zone: self-loop hops level every pipeline, the unit's
+        # included, at the stage's common denominator.
         for _zone in range(zone_len):
             plan = open_layer()
             for s in ss:
                 pull(plan, s.acc, need[s.dim].pay())
-            pull(plan, udim, unit.pay())
-        for ledger in (unit, *need.values()):
+        for ledger in need.values():
             ledger.close()
 
         # Check layer: evaluate this stage's constraints at the check scale.
-        r2name = uname(e_of(level))
         plan = open_layer() if level < M else sc.layer()
-        r2 = plan.prev(r2name)
+        r2 = plan.prev(f"u{e_of(level)}")
 
         zref = {}
         for j, chi in enumerate(stage_modals[level]):
@@ -342,8 +319,8 @@ def build_nested(
                 def atom_ref(atom):
                     return plan.atom_check(
                         atom,
-                        lambda vs: plan.prev(hmap[level][(j, vs)].acc(ii)),
-                        plan.prev(udim(ii)),
+                        lambda vs: plan.prev(by_monomial[(j, vs)].acc(ii)),
+                        plan.prev(ss[-1].acc(ii)),
                         r2,
                     )
 
@@ -359,11 +336,7 @@ def build_nested(
                         f"cb{level}.{c}.{ii}",
                         sep(plan, ii, plan.boolean(gamma, leaf, r2)),
                     )
-            for s2 in stage[level + 1]:
-                for ii in subsets:
-                    plan.set(s2.acc(ii), sep(plan, ii, plan.prev(r2name)))
-            for ii in subsets:
-                plan.set(f"U{level + 1}.{ii}", sep(plan, ii, plan.prev(r2name)))
+            src = r2
         else:
             sc.check(
                 plan, lambda chi: plan.sum_of([zref[(chi, ii)] for ii in subsets]), r2

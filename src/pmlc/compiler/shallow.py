@@ -24,8 +24,12 @@ therefore in which graph class the result is sound on:
   irregular ones.
 
 Every scale that depends on the graph size is carried in a dimension (the
-unit stream ``U`` and check scale ``R2``) and referenced by weight, never
-baked into a bias.
+unit ``U`` and check scale ``R2``) and referenced by weight, never baked
+into a bias.  In the global and shallow-mixed builders the unit is the
+empty monomial's ``Stream``, last in the stream list, so the stream loops
+seed and move it; the local builders start it from the mark's in-mean
+instead.  Each builder keeps one ledger table: its streams', then
+``U``'s and ``R2``'s.
 
 Each builder is called by ``pmlc.compiler.compile`` only, with a formula
 that has a modal node and lies in the target's fragment, and with the
@@ -53,6 +57,7 @@ from .build import (
     Stream,
     opposite,
     streams,
+    unit_stream,
 )
 
 
@@ -126,17 +131,18 @@ def build_global(
 def _global_net(sc: Scaffold) -> Mpnn:
     """Depth-1 compilation of ``sc.phi`` with gated global means.
 
-    At degree 0 the constraints count nothing, so the two layers built
-    (flags, then checks against the mark as the unit) are sound for any
-    modalities; the local builders use this for that case too.
+    Every stream runs the gated cascade, the unit ``U`` last and gated by
+    the mark alone.  At degree 0 the constraints count nothing, so the
+    two layers built (flags, then checks against the mark as the unit)
+    are sound for any modalities; the local builders use this for that
+    case too.
     """
     K = degree(sc.phi)
-    ss = streams(sc.modals, "z")
+    ss = streams(sc.modals, "z") + [unit_stream()]
     plan, memo = sc.first()
     if K >= 1:
         for s in ss:
-            plan.set(s.dim, memo[s.tops[0]])
-        plan.set("U", plan.prev(sc.mark_bit))
+            plan.set(s.dim, memo[s.tops[0]] if s.tops else plan.prev(sc.mark_bit))
 
     for t in range(2, K + 1):
         plan = sc.layer()
@@ -147,7 +153,6 @@ def _global_net(sc: Scaffold) -> Mpnn:
             else:
                 gate = mk
             plan.set(s.dim, plan.mask01(plan.glob(s.dim), gate))
-        plan.set("U", plan.mask01(plan.glob("U"), mk))
 
     plan = sc.layer()
     uref = plan.glob("U") if K >= 1 else plan.prev("mk")
@@ -209,20 +214,16 @@ def _first_hop(sc: Scaffold, ss: List[Stream]) -> None:
     plan.set("R2", plan.mask01(plan.glob("mk"), mk))
 
 
-def _alignment_zone(
-    sc: Scaffold, layers: int, need: Dict[str, Ledger], unit: Ledger, r2: Ledger
-) -> None:
-    """Mean layers that pay every stream's, the unit's and the check
-    scale's owed divisions through focus self-loop and global hops, masked
-    to the focus; every ledger must come out settled."""
+def _alignment_zone(sc: Scaffold, layers: int, table: Dict[str, Ledger]) -> None:
+    """Mean layers that pay the owed divisions of every dim in ``table``
+    (the streams, then ``U`` and ``R2``) through focus self-loop and
+    global hops, masked to the focus; every ledger must come out settled."""
     for _zone in range(layers):
         plan = sc.layer()
         focus = partial(plan.mask01, flag=plan.prev("mk"))
-        for dim, ledger in need.items():
+        for dim, ledger in table.items():
             plan.hop(dim, ledger.pay(), focus)
-        plan.hop("U", unit.pay(), focus)
-        plan.hop("R2", r2.pay(), focus)
-    for ledger in (unit, r2, *need.values()):
+    for ledger in table.values():
         ledger.close()
 
 
@@ -303,9 +304,9 @@ def build_local_mixed(phi: PmlFormula, extra: Aggregator, klass: str) -> Mpnn:
     # degree, so a stream owes K divisions per direction less its own
     # factors in that direction.  The unit and check scales start with one
     # division on the first hop.
-    need = {s.dim: Ledger(ins=K - s.counted("in"), outs=K - s.counted("out")) for s in ss}
-    unit = Ledger(ins=K - 1, outs=K)
-    r2 = Ledger(glob=2 * K - 1)
+    table = {s.dim: Ledger(ins=K - s.counted("in"), outs=K - s.counted("out")) for s in ss}
+    table["U"] = Ledger(ins=K - 1, outs=K)
+    table["R2"] = Ledger(glob=2 * K - 1)
 
     _first_hop(sc, ss)
     for t in range(2, K + 1):
@@ -317,7 +318,7 @@ def build_local_mixed(phi: PmlFormula, extra: Aggregator, klass: str) -> Mpnn:
                 child, d = s.edges[t - 1]
                 pushed = plan.agg(opposite(d), s.dim)
                 plan.set(s.recv, plan.mask01(pushed, plan.prev(sc.names[child])))
-        plan.hop("R2", r2.pay(), partial(plan.mask01, flag=plan.prev("mk")))
+        plan.hop("R2", table["R2"].pay(), partial(plan.mask01, flag=plan.prev("mk")))
 
         # Pull on mean: one focus-degree division per live stream.
         plan = sc.layer()
@@ -326,10 +327,10 @@ def build_local_mixed(phi: PmlFormula, extra: Aggregator, klass: str) -> Mpnn:
             if len(s.edges) >= t:
                 plan.set(s.dim, plan.mask01(plan.agg(s.edges[t - 1][1], s.recv), mk))
         focus = partial(plan.mask01, flag=mk)
-        plan.hop("U", unit.pay(), focus)
-        plan.hop("R2", r2.pay(), focus)
+        for dim in ("U", "R2"):
+            plan.hop(dim, table[dim].pay(), focus)
 
-    _alignment_zone(sc, 2 * K - 1, need, unit, r2)
+    _alignment_zone(sc, 2 * K - 1, table)
     return _focus_verdict(sc, ss, 2 * K)
 
 
@@ -353,9 +354,10 @@ def build_shallow_mixed(
     focus-localized, which the identity gates and edge pushes both
     require).  A trailing zone of 3*degree mean layers
     tops every pipeline up to the uniform denominator
-    n^-K * d_in^-K * d_out^-K (K = degree), which the unit stream U
-    reaches by K global + K in + K out self-loop hops; the check scale
-    R2 takes 3K global hops to n^-3K.  e = 3*degree.
+    n^-K * d_in^-K * d_out^-K (K = degree); the unit stream U, the
+    empty monomial with no factors, owes all of it and reaches it by
+    K global + K in + K out self-loop hops; the check scale R2 takes 3K
+    global hops to n^-3K.  e = 3*degree.
 
     With ``extra`` unset everything is mean and soundness needs a
     regular graph (pushes divide by receiver degrees); with sum or max
@@ -366,10 +368,10 @@ def build_shallow_mixed(
     sc = Scaffold(phi, klass)
     if K == 0:
         return _global_net(sc)
-    ss = streams(sc.modals, "z")
-    c_max = max((len(s.tops) for s in ss), default=0)
-    i_max = max((len(s.ids) for s in ss), default=0)
-    e_max = max((len(s.edges) for s in ss), default=0)
+    ss = streams(sc.modals, "z") + [unit_stream()]
+    c_max = max(len(s.tops) for s in ss)
+    i_max = max(len(s.ids) for s in ss)
+    e_max = max(len(s.edges) for s in ss)
 
     # Alignment ledger: mean hops still owed per stream after its own
     # factors.  Mean-only edge blocks divide by one receiver in-degree
@@ -379,7 +381,7 @@ def build_shallow_mixed(
     def _edge_divs(s: Stream, direction: str) -> int:
         return len(s.edges) if extra is None else s.counted(direction)
 
-    need = {
+    table = {
         s.dim: Ledger(
             K - len(s.tops) - len(s.ids),
             K - _edge_divs(s, "in"),
@@ -387,14 +389,12 @@ def build_shallow_mixed(
         )
         for s in ss
     }
-    unit = Ledger(K, K, K)
-    r2 = Ledger(glob=3 * K)
+    table["R2"] = Ledger(glob=3 * K)
 
     plan, memo = sc.first()
     mark = plan.prev(sc.mark_bit)
     for s in ss:
         plan.set(s.dim, memo[s.tops[0]] if s.tops else mark)
-    plan.set("U", mark)
     plan.set("R2", mark)
 
     # Global phase: gated mean cascade, then one collect onto the focus.
@@ -450,5 +450,5 @@ def build_shallow_mixed(
             if len(s.edges) >= t:
                 plan.set(s.dim, plan.mask01(plan.agg(s.edges[t - 1][1], s.recv), mk))
 
-    _alignment_zone(sc, 3 * K, need, unit, r2)
+    _alignment_zone(sc, 3 * K, table)
     return _focus_verdict(sc, ss, 3 * K)

@@ -120,22 +120,18 @@ def _traces(phi: PmlFormula) -> tuple[tuple[Modality, ...], ...]:
     return family
 
 
-def _reach_maps(
-    phi: PmlFormula, pg: PointedGraph, depth: int
-) -> tuple[
+def _reach_maps(phi: PmlFormula, pg: PointedGraph) -> tuple[
     dict[tuple[Modality, ...], set[int]],
     dict[tuple[Modality, ...], dict[int, Optional[int]]],
 ]:
-    """Nodes reachable from the focus along each trace of length <= depth,
-    plus one walk-predecessor per reached node (for witness walks)."""
+    """Nodes reachable from the focus along each trace of ``phi``, plus
+    one walk-predecessor per reached node (for witness walks)."""
     g = pg.graph
     reach: dict[tuple[Modality, ...], set[int]] = {(): {pg.focus}}
     parent: dict[tuple[Modality, ...], dict[int, Optional[int]]] = {
         (): {pg.focus: None}
     }
     for t in _traces(phi):  # prefix-closed, so reach[t[:-1]] is already set
-        if len(t) > depth:
-            break
         # A trace element records which neighbourhood the counting step
         # used: E_out at u sees out-neighbours of u, E_in sees in-neighbours,
         # so a walk step along E_in traverses an edge backwards.
@@ -195,7 +191,7 @@ def check_tree_like(
     g = pg.graph
     if not is_marked(g, pg.focus, colour):
         return False, TreeLikeWitness(kind="not_marked")
-    reach, parent = _reach_maps(phi, pg, modal_depth(phi))
+    reach, parent = _reach_maps(phi, pg)
     # ids[u] names u's set of reaching traces up to length ``level``: two
     # nodes share an id exactly when they share that set.  A level adds to
     # a node's id the positions in ``_traces(phi)`` of the traces of that

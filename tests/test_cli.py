@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import pmlc
-from pmlc.cli import build_parser, main
+from pmlc import cli
+from pmlc.cli import MAX_COLOURS, MAX_NODES, build_parser, main
 from pmlc.compiler import DEFAULT_TRACE_CAP
 from pmlc.graphs import (
     DEFAULT_MAX_NODES,
@@ -163,6 +164,14 @@ def test_check_needs_a_focus(tmp_path, capsys):
     )
     nofocus = write(tmp_path, "nofocus.graph", text + "\n")
     assert main(["check", f, nofocus]) == 2
+
+
+def test_check_rejects_a_second_focus_line(tmp_path, capsys):
+    f = write(tmp_path, "f.pml", "p0")
+    g = graph_file(tmp_path, "g.graph", 2, 1, [], [(1,), (0,)])
+    twice = write(tmp_path, "twice.graph", open(g).read() + "focus 1\n")
+    assert main(["check", f, twice]) == 2
+    assert "duplicate focus" in capsys.readouterr().err
 
 
 def _run_capped(args):
@@ -361,6 +370,36 @@ def test_eval_rejects_a_negative_layer_count(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+# Each edit of a compiled network file breaks its format: a dims row on the
+# first layer only, a fnnlayer line without its neuron count, and a mark
+# colour past the colour count.
+_MPNN_FORMAT_EDITS = {
+    "dims-on-some-layers": ("dims out\n", "", "dims rows must cover all layers"),
+    "fnnlayer-fields": ("fnnlayer 8 3", "fnnlayer 8", "malformed fnnlayer line"),
+    "mark-colour": ("markcolour 1", "markcolour 2", "mark colour out of range"),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(_MPNN_FORMAT_EDITS))
+def test_eval_rejects_a_malformed_network_file(tmp_path, capsys, edit):
+    net = compiled(tmp_path, "<top>{x1 >= 1}(p0)", "global-shallow")
+    old, new, message = _MPNN_FORMAT_EDITS[edit]
+    text = open(net).read()
+    assert text.count(old) == 1
+    bad = write(tmp_path, "bad.mpnn", text.replace(old, new))
+    g = graph_file(tmp_path, "g.graph", 2, 2, [], [(1, 1), (0, 0)])
+    assert main(["eval", bad, g]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+
+
+def test_eval_of_a_strong_network_needs_a_focus_self_loop(tmp_path, capsys):
+    net = compiled(tmp_path, "<in>{x1 <= 1}(p0)", "local-mixed-sum")
+    g = graph_file(tmp_path, "g.graph", 2, 2, [(0, 1), (1, 0)], [(1, 1), (0, 0)])
+    assert main(["eval", net, g]) == 4
+    assert "not strongly marked" in capsys.readouterr().err
+
+
 # Each edit of a compiled network file claims more than the file holds, or
 # disagrees with itself: a million-fold neuron count runs out of neuron
 # lines, a 5,000-digit weight passes CPython's int-string limit, and a
@@ -475,6 +514,32 @@ def test_gen_tree_like_needs_formula(tmp_path, capsys):
     assert "needs --formula" in capsys.readouterr().err
 
 
+def _never(*args, **kwargs):
+    raise AssertionError("a flag check let a generator run")
+
+
+# Each flag one past its bound, or the edge probability outside [0, 1]
+# (NaN included), ends in exit 2 before any generator runs.
+_GEN_BOUNDS = {
+    "n": (["--n", str(MAX_NODES + 1)], f"--n must be at most {MAX_NODES}"),
+    "colours": (["--colours", str(MAX_COLOURS + 1)], "--colours must be between"),
+    **{
+        f"edge-prob-{p}": (["--edge-prob", p], "--edge-prob must lie in [0, 1]")
+        for p in ("7", "-3", "nan", "inf")
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GEN_BOUNDS))
+def test_gen_rejects_a_flag_past_its_bound(capsys, monkeypatch, case):
+    monkeypatch.setattr(cli, "gen_marked", _never)
+    flags, message = _GEN_BOUNDS[case]
+    assert main(["gen", "--class", "marked", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {message}" in captured.err
+
+
 def test_gen_is_deterministic(tmp_path, capsys):
     argv = ["gen", "--class", "strong", "--seed", "9", "--n", "6"]
     assert main(argv) == 0
@@ -545,6 +610,16 @@ def test_verify_rejects_a_max_node_count_below_one(tmp_path, capsys, max_nodes):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error: --max-nodes must be at least 1" in captured.err
+
+
+def test_verify_rejects_a_max_node_count_past_its_bound(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "class_instance", _never)
+    f = write(tmp_path, "f.pml", "<in>{x1 <= 1}(p0)")
+    assert main(["verify", f, "--target", "local-mixed-sum",
+                 "--max-nodes", str(MAX_NODES + 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"at most {MAX_NODES}, got {MAX_NODES + 1}" in captured.err
 
 
 def test_verify_fragment_mismatch_exits_3(tmp_path):
